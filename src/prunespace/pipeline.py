@@ -9,22 +9,32 @@ with the smallest full-schedule drop.
 
 Every phase is a pure function of (config, master seed), so interrupted runs
 resume idempotently from the trial log and reruns produce byte-identical
-artifacts. Candidate screening can fan out across processes (capped by the
-PRUNESPACE_WORKERS environment variable); results are appended in candidate
-order, so parallel and serial runs emit identical logs. Wall-clock timings are
-observations, not outputs: they go to a separate plain-text sidecar that is
-excluded from all determinism guarantees.
+artifacts. Screening and finalist retraining share one per-candidate step,
+which fans out across a pool of forked processes (one per CPU this process may
+run on, capped by the PRUNESPACE_WORKERS environment variable); results are
+taken in candidate order, so parallel and serial runs emit identical logs,
+reports and checkpoints. Each worker caps numpy's OpenBLAS to one thread, so
+the workers do not oversubscribe the cores; the parent keeps its own setting.
+Where OpenBLAS exports no thread-count call, the workers keep the library's
+default and one warning is logged. Wall-clock timings are observations, not
+outputs: they go to a separate plain-text sidecar that is excluded from all
+determinism guarantees.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .analysis import TrialRecord, accuracy_drop, distribution_summary, edf, top_k_winners
 from .arch import ArchitectureSpec, builtin_arch, builtin_names, load_arch
@@ -201,31 +211,46 @@ def train_dense_baseline(
     return result.weights, result.trace[-1]
 
 
-def _screen_one(
-    config: PipelineConfig,
-    arch: ArchitectureSpec,
-    data: tuple[Batch, Batch],
-    dense_weights: NetworkWeights,
-    dense_acc: float,
-    index: int,
-    ratios: Sequence[float],
-) -> tuple[TrialRecord, float]:
+@dataclass(frozen=True)
+class _SearchState:
+    """What training any candidate of one run reads; fixed for the run."""
+
+    config: PipelineConfig
+    arch: ArchitectureSpec
+    data: tuple[Batch, Batch]
+    dense_weights: NetworkWeights
+    dense_acc: float
+
+
+def _train_candidate(
+    state: _SearchState, full: bool, index: int, ratios: Sequence[float]
+) -> tuple[TrialRecord, NetworkWeights | None, float]:
+    """Prune candidate `index` from the dense weights, train it, and record the drop.
+
+    `full` selects the finalist schedule and seed namespace and keeps the
+    trained weights; screening (`full=False`) discards them.
+    """
     started = time.perf_counter()
+    config, arch = state.config, state.arch
+    schedule, tag = (config.full_schedule, _TAG_FULL) if full else (config.short_schedule, _TAG_SCREEN)
     prune_seed = None
     if config.method == "random":
         prune_seed = derive_seed(derive_seed(config.seed, _TAG_PRUNE), index)
     pruned = one_shot_prune(
-        dense_weights, arch, ratios, method=config.method, seed=prune_seed,
+        state.dense_weights, arch, ratios, method=config.method, seed=prune_seed,
         ratio_max=config.space.ratio_max,
     )
     cost = network_cost(arch, pruned.plan)
     diverged = False
+    weights = None
     try:
         result = train(
-            pruned.weights, pruned.arch, data, config.short_schedule,
-            derive_seed(derive_seed(config.seed, _TAG_SCREEN), index),
+            pruned.weights, pruned.arch, state.data, schedule,
+            derive_seed(derive_seed(config.seed, tag), index),
         )
-        drop = accuracy_drop(dense_acc, result.trace[-1])
+        drop = accuracy_drop(state.dense_acc, result.trace[-1])
+        if full:
+            weights = result.weights
     except TrainingDiverged:
         drop = math.inf
         diverged = True
@@ -236,34 +261,105 @@ def _screen_one(
         cost=cost,
         recipe_std=recipe_std(ratios),
         accuracy_drop=drop,
-        schedule_kind=config.short_schedule.kind,
-        epochs=config.short_schedule.epochs,
+        schedule_kind=schedule.kind,
+        epochs=schedule.epochs,
         seed=config.seed,
         diverged=diverged,
     )
-    return record, time.perf_counter() - started
+    return record, weights, time.perf_counter() - started
 
 
-_worker_state: dict = {}
+# -- worker pool ------------------------------------------------------------------
+
+# Thread-count setter and getter of OpenBLAS: the scipy-openblas64 build that
+# numpy wheels ship prefixes and suffixes the names, other builds do not.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
-def _init_screen_worker(config_doc: dict, dense_weights: NetworkWeights, dense_acc: float):
-    config = pipeline_config_from_json(config_doc)
-    _worker_state["config"] = config
-    _worker_state["arch"] = resolve_arch(config.arch)
-    _worker_state["data"] = config.dataset.build(dtype=dense_weights.dtype)
-    _worker_state["dense"] = dense_weights
-    _worker_state["dense_acc"] = dense_acc
+@functools.cache
+def _openblas_threads_api() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """(set, get) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    dlsym on numpy's linalg extension searches the libraries it links, so this
+    finds the very copy numpy calls. Warns once per process when none is found.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        lib = None
+    for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+        setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    log.warning(
+        "numpy's BLAS exports no OpenBLAS thread-count call; "
+        "pool workers keep its default thread count"
+    )
+    return None
 
 
-def _screen_worker(task: tuple[int, tuple[float, ...]]) -> tuple[TrialRecord, float]:
-    index, ratios = task
-    s = _worker_state
-    return _screen_one(s["config"], s["arch"], s["data"], s["dense"], s["dense_acc"], index, ratios)
+def blas_threads() -> int | None:
+    """OpenBLAS threads this process uses, or None when the count is out of reach."""
+    api = _openblas_threads_api()
+    return api[1]() if api is not None else None
+
+
+_worker_state: _SearchState | None = None
+
+
+def _init_worker(state: _SearchState | None) -> None:
+    # One BLAS thread per worker: the pool already keeps every core busy, and
+    # OpenBLAS threads in each of several workers oversubscribe the cores.
+    global _worker_state
+    _worker_state = state
+    api = _openblas_threads_api()
+    if api is not None:
+        api[0](1)
+
+
+def _pool_task(
+    full: bool, task: tuple[int, tuple[float, ...]]
+) -> tuple[TrialRecord, NetworkWeights | None, float]:
+    return _train_candidate(_worker_state, full, *task)
+
+
+def _candidate_pool(state: _SearchState | None, workers: int) -> ProcessPoolExecutor:
+    """Worker pool whose processes hold `state` and run one BLAS thread each.
+
+    Workers are forked where the platform can: a fork child inherits the
+    state's arrays and numpy's import without pickling or re-importing.
+    """
+    _openblas_threads_api()  # warn here, once, rather than in every worker
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_init_worker,
+        initargs=(state,),
+    )
+
+
+def _map_candidates(
+    state: _SearchState, full: bool, tasks: Sequence[tuple[int, tuple[float, ...]]]
+) -> Iterator[tuple[TrialRecord, NetworkWeights | None, float]]:
+    """`_train_candidate` over `tasks`, serially or on the pool; yields in task order."""
+    workers = worker_count(len(tasks))
+    if workers == 1:
+        for index, ratios in tasks:
+            yield _train_candidate(state, full, index, ratios)
+        return
+    log.info("training %d candidates across %d workers", len(tasks), workers)
+    with _candidate_pool(state, workers) as pool:
+        yield from pool.map(functools.partial(_pool_task, full), tasks)
 
 
 def worker_count(pending: int) -> int:
-    """Pool size: PRUNESPACE_WORKERS if set, else available parallelism."""
+    """Pool size: PRUNESPACE_WORKERS if set, else the CPUs this process may run on."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is not None:
         try:
@@ -272,6 +368,8 @@ def worker_count(pending: int) -> int:
             raise ValidationError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         if cap < 1:
             raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {cap}")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, pending))
@@ -305,31 +403,17 @@ def screen_candidates(
         raise ValidationError(
             f"trial log already has {len(records)} records but the population is {config.n}"
         )
-    pending = list(range(len(records), config.n))
-    if not pending:
+    if len(records) == config.n:
         return records
 
-    def sink(record: TrialRecord, seconds: float) -> None:
+    state = _SearchState(config, arch, data, dense_weights, dense_acc)
+    tasks = [(i, recipes[i].ratios) for i in range(len(records), config.n)]
+    for record, _, seconds in _map_candidates(state, False, tasks):
         if trial_log is not None:
             trial_log.append(record)
         if timing_sink is not None:
             timing_sink(f"screen\t{record.index}\t{seconds:.3f}")
         records.append(record)
-
-    workers = worker_count(len(pending))
-    if workers == 1:
-        for i in pending:
-            sink(*_screen_one(config, arch, data, dense_weights, dense_acc, i, recipes[i].ratios))
-    else:
-        log.info("screening %d candidates across %d workers", len(pending), workers)
-        tasks = [(i, tuple(recipes[i].ratios)) for i in pending]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_screen_worker,
-            initargs=(config.to_json(), dense_weights, dense_acc),
-        ) as pool:
-            for record, seconds in pool.map(_screen_worker, tasks):
-                sink(record, seconds)
     return records
 
 
@@ -371,52 +455,22 @@ def retrain_top_k(
     dense_acc = float(evaluate(dense_weights, arch, data[1]))
     shortlist = top_k_winners(trials, config.top_k)
 
+    state = _SearchState(config, arch, data, dense_weights, dense_acc)
+    tasks = [(c.index, c.recipe) for c in shortlist]
     finalists: list[TrialRecord] = []
-    for rank, candidate in enumerate(shortlist):
-        started = time.perf_counter()
-        prune_seed = None
-        if config.method == "random":
-            prune_seed = derive_seed(derive_seed(config.seed, _TAG_PRUNE), candidate.index)
-        pruned = one_shot_prune(
-            dense_weights, arch, candidate.recipe, method=config.method,
-            seed=prune_seed, ratio_max=config.space.ratio_max,
-        )
-        diverged = False
-        weights = None
-        try:
-            result = train(
-                pruned.weights, pruned.arch, data, config.full_schedule,
-                derive_seed(derive_seed(config.seed, _TAG_FULL), candidate.index),
-            )
-            drop = accuracy_drop(dense_acc, result.trace[-1])
-            weights = result.weights
-        except TrainingDiverged:
-            drop = math.inf
-            diverged = True
-        record = TrialRecord(
-            index=candidate.index,
-            recipe=candidate.recipe,
-            arch=arch.name,
-            cost=candidate.cost,
-            recipe_std=candidate.recipe_std,
-            accuracy_drop=drop,
-            schedule_kind=config.full_schedule.kind,
-            epochs=config.full_schedule.epochs,
-            seed=config.seed,
-            diverged=diverged,
-        )
+    for rank, (record, weights, seconds) in enumerate(_map_candidates(state, True, tasks)):
         finalists.append(record)
         if timing_sink is not None:
-            timing_sink(f"full\t{candidate.index}\t{time.perf_counter() - started:.3f}")
+            timing_sink(f"full\t{record.index}\t{seconds:.3f}")
         if save_dir is not None and weights is not None:
             save_checkpoint(
-                Path(save_dir) / f"finalist_{candidate.index}.ckpt",
+                Path(save_dir) / f"finalist_{record.index}.ckpt",
                 weights,
-                meta={"index": candidate.index, "rank": rank, "drop": drop},
+                meta={"index": record.index, "rank": rank, "drop": record.accuracy_drop},
             )
         log.info(
             "finalist %d (screen rank %d): full-schedule drop %s",
-            candidate.index, rank, "diverged" if diverged else f"{drop:.3f}",
+            record.index, rank, "diverged" if record.diverged else f"{record.accuracy_drop:.3f}",
         )
     winner = top_k_winners(finalists, 1)[0]
     return PipelineResult(

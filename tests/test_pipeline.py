@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from prunespace import (
     scratch_schedule,
     train_dense_baseline,
 )
-from prunespace.pipeline import worker_count
+from prunespace import pipeline
+from prunespace.pipeline import _candidate_pool, blas_threads, worker_count
 
 
 def _mini_config(seed=0, n=4, top_k=2, method="l2"):
@@ -127,6 +129,12 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("PRUNESPACE_WORKERS")
     assert worker_count(1) == 1
     assert worker_count(10_000) >= 1
+    # the default follows the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(10) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(10) == 2
 
 
 def test_dense_baseline_deterministic():
@@ -209,6 +217,46 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     parallel = screen_candidates(config, dense, data, parallel_log)
     assert serial == parallel
     assert (tmp_path / "serial.jsonl").read_bytes() == (tmp_path / "parallel.jsonl").read_bytes()
+
+
+def test_pooled_pipeline_matches_serial(tmp_path, monkeypatch):
+    # n=4 and top_k=2 start a pool for screening and another for the finalists
+    config = _mini_config(n=4, top_k=2)
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    run_pipeline(config, tmp_path / "serial")
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
+    run_pipeline(config, tmp_path / "pooled")
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+    assert sum(name.startswith("finalist_") for name in names) == config.top_k
+    for name in names:
+        if name != "timings.txt":  # wall-clock observations, outside the contract
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "pooled" / name
+            ).read_bytes(), name
+
+
+def test_pool_workers_run_one_blas_thread():
+    before = blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
+    with _candidate_pool(None, 2) as pool:
+        counts = [f.result(timeout=60) for f in [pool.submit(blas_threads) for _ in range(4)]]
+    assert counts == [1, 1, 1, 1]
+    assert blas_threads() == before
+
+
+def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
+    monkeypatch.setattr(pipeline, "_OPENBLAS_THREAD_SYMBOLS", (("no_such_set", "no_such_get"),))
+    pipeline._openblas_threads_api.cache_clear()
+    try:
+        with caplog.at_level("WARNING", logger="prunespace"):
+            for _ in range(2):
+                with _candidate_pool(None, 2) as pool:
+                    assert pool.submit(blas_threads).result(timeout=60) is None
+        assert len([r for r in caplog.records if "thread-count" in r.getMessage()]) == 1
+    finally:
+        pipeline._openblas_threads_api.cache_clear()
 
 
 def test_retrain_top_k(tmp_path, monkeypatch):
