@@ -29,7 +29,7 @@ def describe(label, space, population, arch):
     costs = [network_cost(arch, resolve_plan(arch, r.ratios)) for r in population]
     c_flops = np.asarray([c.c_flops for c in costs])
     mcbs = np.asarray([c.mcb for c in costs])
-    sound = all(is_member(arch, space, r) for r in population)
+    sound = all(is_member(arch, space, r).passed for r in population)
     print(f"-- {label} --")
     print(f"  c_flops  [{c_flops.min():.4f}, {c_flops.max():.4f}]  target 0.25 +/- {space.delta}")
     print(f"  std      median {np.median(stds):.4f}  max {stds.max():.4f}")

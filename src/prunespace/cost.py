@@ -9,11 +9,19 @@ dense network's totals:
     mcb      = c_flops / c_params
 
 Pooling and elementwise ops are excluded from the counts.
+
+Cost is bilinear in kept channels (per layer, macs = flops_coef * in * out),
+so `cost_table` packs an architecture into int64 arrays once and costs a
+block of recipes in a few numpy operations. The integer sums are exact and
+stay below 2**53, so every ratio equals the scalar int / int division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import asdict, dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .arch import ArchitectureSpec, LayerSpec, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
@@ -28,13 +36,7 @@ class CostReport:
     mcb: float
 
     def to_json(self) -> dict:
-        return {
-            "flops": self.flops,
-            "params": self.params,
-            "c_flops": self.c_flops,
-            "c_params": self.c_params,
-            "mcb": self.mcb,
-        }
+        return asdict(self)
 
 
 def layer_cost(layer: LayerSpec, in_ch: int, out_ch: int) -> tuple[int, int]:
@@ -57,27 +59,6 @@ def layer_cost(layer: LayerSpec, in_ch: int, out_ch: int) -> tuple[int, int]:
     return macs, params
 
 
-def effective_channels(
-    arch: ArchitectureSpec, plan: SubnetworkPlan | None = None
-) -> dict[int, tuple[int, int]]:
-    """Per-layer (in_ch, out_ch) under a plan; input channels are never pruned."""
-    out: dict[int, tuple[int, int]] = {}
-    for l in arch.layers:
-        kept_out = l.c_out if plan is None else plan.kept[l.id]
-        prods = arch.producers[l.id]
-        if not prods:
-            in_ch = arch.input_shape[0]
-        else:
-            vals = {arch.layer(p).c_out if plan is None else plan.kept[p] for p in prods}
-            if len(vals) != 1:
-                raise ValidationError(
-                    f"layer {l.id}: producers disagree on kept channels {sorted(vals)}"
-                )
-            in_ch = vals.pop()
-        out[l.id] = (in_ch, kept_out)
-    return out
-
-
 def network_cost(
     arch: ArchitectureSpec, plan: SubnetworkPlan | Sequence[float] | None = None
 ) -> CostReport:
@@ -85,24 +66,22 @@ def network_cost(
 
     `plan` may be a resolved SubnetworkPlan, a per-unit ratio vector, or any
     object with a `ratios` attribute (a sampled recipe); None means dense.
+    A plan whose kept count leaves [1, c_out], or whose layers of one
+    coupling group disagree on it, raises ValidationError.
     """
     if plan is not None and not isinstance(plan, SubnetworkPlan):
         plan = resolve_plan(arch, getattr(plan, "ratios", plan))
-    channels = effective_channels(arch, plan)
-    flops = 0
-    params = 0
-    dense_flops = 0
-    dense_params = 0
-    for l in arch.layers:
-        in_ch, out_ch = channels[l.id]
-        m, p = layer_cost(l, in_ch, out_ch)
-        flops += m
-        params += p
-        m, p = layer_cost(l, l.c_in, l.c_out)
-        dense_flops += m
-        dense_params += p
-    c_flops = flops / dense_flops
-    c_params = params / dense_params
+    t = cost_table(arch)
+    out_ch = t.dense_out if plan is None else np.array([plan.kept[l.id] for l in arch.layers])
+    cols = np.concatenate([t.unit_c_out, t.fixed])
+    cols[t.out_col] = out_ch
+    bad = np.flatnonzero((out_ch < 1) | (out_ch > t.dense_out) | (cols[t.out_col] != out_ch))
+    if bad.size:
+        l, kept = arch.layers[bad[0]], out_ch[bad[0]]
+        raise ValidationError(f"layer {l.id}: kept {kept} must lie in [1, {l.c_out}] and match its coupling group")
+    flops, params = (int(v) for v in t.totals(cols[t.in_col], out_ch))
+    c_flops = flops / t.dense_flops
+    c_params = params / t.dense_params
     return CostReport(flops, params, c_flops, c_params, mcb(c_flops, c_params))
 
 
@@ -120,37 +99,78 @@ def fractional_uniform_metrics(arch: ArchitectureSpec, ratio: float) -> tuple[fl
     The continuous relaxation of the rounding rule: every prunable unit keeps
     max(1, (1 - ratio) * c_out) fractional channels. Strictly monotone in the
     ratio wherever rounding has plateaus, which makes it the right map to
-    bisect when hunting a cost target.
+    bisect when hunting a cost target. Products and sums (cumsum, sequential)
+    keep a per-layer scalar loop's order, so the sampler's anchor stays fixed.
     """
     if not (0.0 <= ratio <= 1.0):
         raise ValidationError(f"uniform ratio {ratio} outside [0, 1]")
-    frac_out: dict[int, float] = {l.id: float(l.c_out) for l in arch.layers}
-    for unit in prunable_units(arch):
-        kept = max(1.0, (1.0 - ratio) * unit.c_out)
-        for lid in unit.layer_ids:
-            frac_out[lid] = kept
-    flops = 0.0
-    params = 0.0
-    dense_flops = 0
-    dense_params = 0
-    for l in arch.layers:
-        prods = arch.producers[l.id]
-        in_ch = float(arch.input_shape[0]) if not prods else frac_out[prods[0]]
-        out_ch = frac_out[l.id]
-        if l.kind == "conv":
-            scale = l.kernel * l.kernel
-            m = in_ch * out_ch * scale * l.out_h * l.out_w
-            p = in_ch * out_ch * scale
-        else:
-            m = in_ch * out_ch
-            p = in_ch * out_ch
-        if l.has_bias:
-            p += out_ch
-        if l.has_affine:
-            p += 2 * out_ch
-        flops += m
-        params += p
-        m2, p2 = layer_cost(l, l.c_in, l.c_out)
-        dense_flops += m2
-        dense_params += p2
-    return flops / dense_flops, params / dense_params
+    t = cost_table(arch)
+    in_ch, out_ch = t.channels(np.maximum(1.0, (1.0 - ratio) * t.unit_c_out))
+    macs = in_ch * out_ch * t.params_coef * t.out_h * t.out_w
+    params = in_ch * out_ch * t.params_coef + out_ch * t.bias + 2 * out_ch * t.affine
+    return float(np.cumsum(macs)[-1]) / t.dense_flops, float(np.cumsum(params)[-1]) / t.dense_params
+
+
+class CostTable:
+    """Exact cost coefficients of one architecture, one int64 entry per layer.
+
+    Channel counts are columns of [kept count of each prunable unit, then the
+    fixed counts: network input, then each layer or coupling group outside a
+    unit]; `in_col` and `out_col` name the column a layer reads.
+    """
+
+    def __init__(self, arch: ArchitectureSpec):
+        units = prunable_units(arch)
+        col = {lid: u.index for u in units for lid in u.layer_ids}
+        fixed = [arch.input_shape[0]]
+        for l in arch.layers:
+            if l.id not in col:
+                group = (l.id,) if l.coupling_group is None else arch.groups[l.coupling_group]
+                col.update((lid, len(units) + len(fixed)) for lid in group)
+                fixed.append(l.c_out)
+        per_layer = lambda f: np.array([f(l) for l in arch.layers], dtype=np.int64)
+        self.in_col = per_layer(lambda l: col[arch.producers[l.id][0]] if arch.producers[l.id] else len(units))
+        self.out_col = per_layer(lambda l: col[l.id])
+        self.fixed = np.array(fixed, dtype=np.int64)
+        self.unit_c_out = np.array([u.c_out for u in units], dtype=np.int64)
+        self.dense_out = per_layer(lambda l: l.c_out)
+        self.params_coef = per_layer(lambda l: l.kernel * l.kernel if l.kind == "conv" else 1)
+        self.out_h, self.out_w = per_layer(lambda l: l.out_h), per_layer(lambda l: l.out_w)
+        self.flops_coef = self.params_coef * self.out_h * self.out_w
+        self.bias, self.affine = per_layer(lambda l: l.has_bias), per_layer(lambda l: l.has_affine)
+        self.out_params = self.bias + 2 * self.affine
+        self.dense_flops, self.dense_params = map(sum, zip(*(layer_cost(l, l.c_in, l.c_out) for l in arch.layers)))
+        if max(self.dense_flops, self.dense_params) >= 2**53:
+            raise ValidationError(f"{arch.name}: dense cost exceeds 2**53, the exact float range")
+
+    def kept(self, ratios: np.ndarray) -> np.ndarray:
+        """Kept channels per unit for rows of ratios: `kept_channels`, vectorized."""
+        return np.maximum(1, np.floor((1.0 - ratios) * self.unit_c_out + 0.5)).astype(np.int64)
+
+    def channels(self, unit_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(in_ch, out_ch) per layer for rows of per-unit channel counts."""
+        units = unit_counts.shape[-1]
+        cols = np.empty(unit_counts.shape[:-1] + (units + len(self.fixed),), dtype=unit_counts.dtype)
+        cols[..., :units] = unit_counts
+        cols[..., units:] = self.fixed
+        return cols[..., self.in_col], cols[..., self.out_col]
+
+    def totals(self, in_ch: np.ndarray, out_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(macs, params) per row of per-layer channel counts."""
+        both = in_ch * out_ch
+        return both @ self.flops_coef, both @ self.params_coef + out_ch @ self.out_params
+
+    def relative(self, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c_flops, c_params) per row of a (rows, units) ratio block."""
+        flops, params = self.totals(*self.channels(self.kept(ratios)))
+        return flops / self.dense_flops, params / self.dense_params
+
+
+_TABLES: "weakref.WeakKeyDictionary[ArchitectureSpec, CostTable]" = weakref.WeakKeyDictionary()
+
+
+def cost_table(arch: ArchitectureSpec) -> CostTable:
+    """The architecture's CostTable, built on first use and dropped with the spec."""
+    if arch not in _TABLES:
+        _TABLES[arch] = CostTable(arch)
+    return _TABLES[arch]

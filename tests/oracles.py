@@ -6,10 +6,11 @@ The point is a second derivation path, not speed.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from prunespace import ArchitectureSpec, NetworkWeights, forward
+from prunespace import ArchitectureSpec, NetworkWeights, forward, prunable_units
 
 
 def kept_channels_fraction(c_out: int, ratio) -> int:
@@ -85,6 +86,65 @@ def enumerate_network_cost(arch: ArchitectureSpec, plan=None) -> tuple[int, int]
         total_macs += macs
         total_params += params
     return total_macs, total_params
+
+
+def fractional_uniform_metrics_loop(arch: ArchitectureSpec, ratio: float) -> tuple[float, float]:
+    """Relaxed uniform-recipe cost by a per-layer scalar loop, summed in layer order."""
+    frac_out = {l.id: float(l.c_out) for l in arch.layers}
+    for unit in prunable_units(arch):
+        for lid in unit.layer_ids:
+            frac_out[lid] = max(1.0, (1.0 - ratio) * unit.c_out)
+    flops = params = 0.0
+    for l in arch.layers:
+        prods = arch.producers[l.id]
+        in_ch = float(arch.input_shape[0]) if not prods else frac_out[prods[0]]
+        out_ch = frac_out[l.id]
+        scale = l.kernel * l.kernel if l.kind == "conv" else 1
+        flops += in_ch * out_ch * scale * l.out_h * l.out_w
+        p = in_ch * out_ch * scale
+        if l.has_bias:
+            p += out_ch
+        if l.has_affine:
+            p += 2 * out_ch
+        params += p
+    dense_flops, dense_params = enumerate_network_cost(arch, None)
+    return flops / dense_flops, params / dense_params
+
+
+def sample_recipe_sequential(arch: ArchitectureSpec, space, seed, base_ratio: float,
+                             max_attempts: int, sigma: float):
+    """Rejection sampling one attempt at a time: one Gaussian row per attempt,
+    membership from enumerated costs and exact-rational rounding.
+
+    Returns (ratios, attempt index) of the first member, or None when every
+    attempt misses.
+    """
+    units = prunable_units(arch)
+    dense_macs, dense_params = enumerate_network_cost(arch, None)
+    rng = np.random.default_rng(seed)
+    for attempt in range(max_attempts):
+        eps = rng.normal(0.0, sigma, size=len(units)) if sigma > 0 else np.zeros(len(units))
+        ratios = tuple(min(max(base_ratio + float(e), 0.0), space.ratio_max) for e in eps)
+        kept = {l.id: l.c_out for l in arch.layers}
+        for unit, r in zip(units, ratios):
+            for lid in unit.layer_ids:
+                kept[lid] = kept_channels_fraction(unit.c_out, r)
+        macs, params = enumerate_network_cost(arch, SimpleNamespace(kept=kept))
+        c_flops, c_params = macs / dense_macs, params / dense_params
+        bands = []
+        if space.target_cflops is not None:
+            bands.append((c_flops, space.target_cflops - space.delta, space.target_cflops + space.delta))
+        if space.target_cparams is not None:
+            bands.append((c_params, space.target_cparams - space.delta_params,
+                          space.target_cparams + space.delta_params))
+        if space.std_cap is not None:
+            bands.append((float(np.std(np.asarray(ratios))), 0.0, space.std_cap))
+        if space.mcb_band is not None:
+            center, half = space.mcb_band
+            bands.append((c_flops / c_params, center - half, center + half))
+        if all(lo <= v <= hi for v, lo, hi in bands):
+            return ratios, attempt
+    return None
 
 
 def conv2d_naive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunespace import (
+    SubnetworkPlan,
     ValidationError,
     builtin_arch,
+    builtin_names,
+    cost_table,
     fractional_uniform_metrics,
+    kept_channels,
     layer_cost,
     load_arch,
     mcb,
@@ -13,7 +19,7 @@ from prunespace import (
     resolve_plan,
 )
 
-from .oracles import enumerate_network_cost
+from .oracles import enumerate_network_cost, fractional_uniform_metrics_loop
 
 
 def test_chain3_dense_totals():
@@ -126,12 +132,12 @@ def test_mcb_validation():
         mcb(-0.1, 0.5)
 
 
-@pytest.mark.parametrize("name", ["chain3", "resnet-tiny"])
+@pytest.mark.parametrize("name", ["chain3", "resnet-tiny", "resnet50-shape"])
 def test_network_cost_matches_enumeration(name):
     arch = builtin_arch(name)
     n = len(prunable_units(arch))
     rng = np.random.default_rng(7)
-    for _ in range(30):
+    for _ in range(3 if name == "resnet50-shape" else 30):
         recipe = rng.uniform(0.0, 0.95, size=n)
         plan = resolve_plan(arch, recipe)
         report = network_cost(arch, plan)
@@ -165,3 +171,58 @@ def test_fractional_tracks_rounded_on_plateau():
     frac = fractional_uniform_metrics(arch, 0.5)
     assert frac[0] == pytest.approx(rounded.c_flops, rel=1e-12)
     assert frac[1] == pytest.approx(rounded.c_params, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_cost_equals_per_row_network_cost(data):
+    arch = builtin_arch(data.draw(st.sampled_from(builtin_names())))
+    n = len(prunable_units(arch))
+    rows = data.draw(st.lists(
+        st.lists(st.floats(0.0, 0.95), min_size=n, max_size=n), min_size=1, max_size=8))
+    table = cost_table(arch)
+    ratios = np.array(rows)
+    flops, params = table.totals(*table.channels(table.kept(ratios)))
+    c_flops, c_params = table.relative(ratios)
+    for i, row in enumerate(rows):
+        report = network_cost(arch, resolve_plan(arch, row))
+        assert (int(flops[i]), int(params[i])) == (report.flops, report.params)
+        assert (c_flops[i], c_params[i]) == (report.c_flops, report.c_params)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_block_rounding_matches_kept_channels_at_breakpoints(name):
+    # every edge 1 - (j + 0.5) / c of a unit's rounding plateaus, and one ulp
+    # either side of it, where float rounding is most likely to differ
+    arch = builtin_arch(name)
+    units = prunable_units(arch)
+    table = cost_table(arch)
+    edges = np.unique(np.concatenate(
+        [1.0 - (np.arange(u.c_out) + 0.5) / u.c_out for u in units]))
+    probes = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    probes = probes[(probes >= 0.0) & (probes <= 1.0)]
+    kept = table.kept(np.repeat(probes[:, None], len(units), axis=1))
+    want = [[kept_channels(u.c_out, float(r)) for u in units] for r in probes]
+    assert kept.tolist() == want
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_fractional_metrics_equal_scalar_loop(name):
+    # the sampler's anchor bisects this map, so its floats must not move
+    arch = builtin_arch(name)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 401), np.random.default_rng(3).uniform(0, 1, 200)])
+    for r in grid:
+        assert fractional_uniform_metrics(arch, float(r)) == fractional_uniform_metrics_loop(arch, float(r))
+
+
+def test_network_cost_rejects_bad_plans():
+    arch = builtin_arch("resnet-tiny")
+    plan = resolve_plan(arch, [0.5] * len(prunable_units(arch)))
+    kept = dict(plan.kept)
+    kept[1] = 9  # layer 1 has 8 filters
+    with pytest.raises(ValidationError, match=r"layer 1: kept 9 must lie in \[1, 8\]"):
+        network_cost(arch, SubnetworkPlan(kept, plan.kept_indices))
+    kept = dict(plan.kept)
+    kept[2] -= 1  # layers 0, 2 and 4 are one coupling group
+    with pytest.raises(ValidationError, match="match its coupling group"):
+        network_cost(arch, SubnetworkPlan(kept, plan.kept_indices))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -24,6 +25,10 @@ from prunespace import (
     space_from_json,
     uniform_base_ratio,
 )
+from prunespace.cli import main
+from prunespace.sampling import ATTEMPT_BLOCK, DEFAULT_SIGMA
+
+from .oracles import sample_recipe_sequential
 
 CHAIN3_HALF_CFLOPS = 6942 / 20796
 
@@ -145,6 +150,20 @@ def test_uniform_base_skipped_band_flagged():
     assert abs(base.achieved - 0.30) > 1e-4
 
 
+@pytest.mark.parametrize("name,metric,target,ratio,achieved", [
+    ("chain3", "flops", 0.27, 0.5833333343333332, 0.2779380650125024),
+    ("chain3", "flops", 0.38, 0.4166666656666666, 0.389690325062512),
+    ("chain3", "params", 0.45, 0.4166666656666666, 0.4504950495049505),
+    ("resnet-tiny", "flops", 0.06, 0.781250001, 0.05994521053927604),
+    ("resnet-tiny", "flops", 0.17, 0.593749999, 0.172595351446004),
+])
+def test_uniform_base_first_in_band_plateau_probe(name, metric, target, ratio, achieved):
+    # the bisection root misses the band here, so the anchor is the first
+    # plateau-edge probe in band, and every population depends on which
+    base = uniform_base_ratio(builtin_arch(name), target, 0.01, metric)
+    assert (base.ratio, base.in_band, base.achieved) == (ratio, True, achieved)
+
+
 def test_uniform_base_no_prunable_units():
     doc = {
         "name": "frozen",
@@ -215,3 +234,95 @@ def test_tighter_std_space_nests_in_looser():
     loose = SpaceSpec(target_cflops=0.5, delta=0.01, std_cap=0.10)
     for r in sample_population(arch, tight, n=10, seed=21):
         assert is_member(arch, loose, r).passed
+
+
+def _oracle_spaces(name):
+    arch = builtin_arch(name)
+    if name == "chain3":
+        target, params, uniform = CHAIN3_HALF_CFLOPS, 153 / 404, CHAIN3_HALF_CFLOPS
+    else:
+        target, params = 0.5, 0.5
+        uniform = network_cost(arch, [0.5] * len(prunable_units(arch))).c_flops
+    return arch, {
+        "flops": SpaceSpec(target_cflops=target, delta=0.01),
+        "flops+mcb": SpaceSpec(target_cflops=target, delta=0.01, mcb_band=(0.95, 0.06) if name == "chain3" else (1.0, 0.02)),
+        "flops+std": SpaceSpec(target_cflops=target, delta=0.01, std_cap=0.02),
+        "params": SpaceSpec(target_cparams=params, delta_params=0.01),
+        "std_cap=0": SpaceSpec(target_cflops=uniform, delta=1e-9, std_cap=0.0),
+        "std_cap=0, infeasible": SpaceSpec(target_cflops=0.25, delta=1e-9, std_cap=0.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["chain3", "resnet-tiny"])
+def test_sample_recipe_matches_sequential_oracle(name):
+    arch, spaces = _oracle_spaces(name)
+    max_attempts = 150  # past the first block, and not a multiple of it
+    past_first_block = 0
+    for label, space in spaces.items():
+        if space.target_cflops is not None:
+            base = uniform_base_ratio(arch, space.target_cflops, space.delta)
+        else:
+            base = uniform_base_ratio(arch, space.target_cparams, space.delta_params, "params")
+        sigma = DEFAULT_SIGMA if space.std_cap is None else space.std_cap
+        for seed in range(4):
+            want = sample_recipe_sequential(arch, space, (seed, 1), base.ratio, max_attempts, sigma)
+            if want is None:
+                with pytest.raises(FeasibilityError) as err:
+                    sample_recipe(arch, space, (seed, 1), max_attempts)
+                assert err.value.attempts == max_attempts, label
+                continue
+            ratios, attempt = want
+            past_first_block += attempt >= ATTEMPT_BLOCK
+            assert sample_recipe(arch, space, (seed, 1), max_attempts).ratios == ratios, (label, seed)
+    if name == "resnet-tiny":
+        assert past_first_block > 0  # some accepted draw lies beyond a block boundary
+
+
+def test_max_attempts_caps_the_last_block():
+    arch = builtin_arch("resnet-tiny")
+    infeasible = SpaceSpec(target_cflops=0.25, delta=1e-9, std_cap=0.01)
+    for max_attempts in (1, ATTEMPT_BLOCK - 1, ATTEMPT_BLOCK + 1, 3 * ATTEMPT_BLOCK + 5):
+        with pytest.raises(FeasibilityError) as err:
+            sample_recipe(arch, infeasible, seed=0, max_attempts=max_attempts)
+        assert err.value.attempts == max_attempts
+    # a member first drawn at attempt k (0-based) inside a block: k attempts
+    # miss it, k + 1 find it
+    space = _oracle_spaces("resnet-tiny")[1]["flops+mcb"]
+    base = uniform_base_ratio(arch, space.target_cflops, space.delta)
+    ratios, k = sample_recipe_sequential(arch, space, (1, 1), base.ratio, 300, DEFAULT_SIGMA)
+    assert k > ATTEMPT_BLOCK and k % ATTEMPT_BLOCK != 0
+    with pytest.raises(FeasibilityError):
+        sample_recipe(arch, space, (1, 1), max_attempts=k)
+    assert sample_recipe(arch, space, (1, 1), max_attempts=k + 1).ratios == ratios
+
+
+# sha256 of `prunespace sample --arch resnet50-shape --n 40` output for the four
+# spaces the benchmark samples, recorded before the block sampler replaced the
+# draw-by-draw loop: populations must not change by a byte.
+PINNED_R50_POPULATIONS = {
+    (0, "flops"): "3344ba0cec576250161d4d99ef1c98e449295b53ddffd29f7fb6881ec96fe9f9",
+    (0, "flops-mcb"): "0867d519a18514475d8a3a3906047116845483eea7c6c1bfaa785c4ccb4bd157",
+    (0, "flops-std"): "7c5568cb96d3192f12387e850234917481356ea7ad2d33dc726ddc738fc8042d",
+    (0, "params"): "a51c745ce994ccf0a25d20496e52776a1410c4ec2f411d6d871fb07b4962d462",
+    (7, "flops"): "c941cb43ad1b6a92ca33734c0da9fa011149e4924af1093d918ea6801d442208",
+    (7, "flops-mcb"): "21ef144db067724b489962f5b8ad894431714ae84a725d148ff137d3ccfe5e4e",
+    (7, "flops-std"): "5aa4e7df21fd3001c781dd3f9d699763bcfb060946dca641073d39778e4c8b3c",
+    (7, "params"): "bbc0b7676695c80d9dcb44e7e5ebab5ba9b2f973e9813bb1a1386aeb9a34d6bc",
+}
+R50_SPACES = {
+    "flops": {"target_cflops": 0.5},
+    "flops-mcb": {"target_cflops": 0.5, "mcb_band": [1.0, 0.05]},
+    "flops-std": {"target_cflops": 0.5, "std_cap": 0.05},
+    "params": {"target_cparams": 0.5},
+}
+
+
+@pytest.mark.parametrize("seed,space", sorted(PINNED_R50_POPULATIONS))
+def test_resnet50_populations_pinned(seed, space, tmp_path):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(R50_SPACES[space]))
+    out = tmp_path / "pop.jsonl"
+    argv = ["sample", "--arch", "resnet50-shape", "--space", str(space_file),
+            "--n", "40", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_R50_POPULATIONS[seed, space]
