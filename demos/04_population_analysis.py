@@ -47,14 +47,13 @@ def config_for(std_cap):
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     loose = config_for(std_cap=None)
-    data = loose.dataset.build()
-    dense_weights, dense_acc = train_dense_baseline(loose, data)
-    print(f"dense accuracy {dense_acc:.1%}; screening {N} candidates per space\n")
+    baseline = train_dense_baseline(loose)
+    print(f"dense accuracy {baseline.accuracy:.1%}; screening {N} candidates per space\n")
 
     trials = {}
     for label, config in (("std-free", loose), ("std-0.02", config_for(std_cap=0.02))):
         log = TrialLog(OUT / f"{label}.jsonl", config=config.to_json())
-        trials[label] = screen_candidates(config, dense_weights, data, log)
+        trials[label] = screen_candidates(config, baseline, log)
         print(f"{label}: screened to {OUT / (label + '.jsonl')}")
     print()
 

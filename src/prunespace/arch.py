@@ -80,9 +80,6 @@ class SubnetworkPlan:
     kept: Mapping[int, int]
     kept_indices: Mapping[int, tuple[int, ...]]
 
-    def kept_out(self, layer_id: int) -> int:
-        return self.kept[layer_id]
-
 
 class ArchitectureSpec:
     """Validated layer graph with resolved spatial shapes.

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .seeds import derive_seed
 
 DEFAULT_NOISE_SIGMA = 0.5
 _BLOCK = 4
@@ -113,11 +114,7 @@ def synth_dataset(
         raise ValidationError("noise_sigma must be non-negative")
     shape = tuple(int(v) for v in shape)
     templates = class_templates(seed, num_classes, shape)
-    if isinstance(seed, (int, np.integer)):
-        noise_key = (int(seed), 1)
-    else:
-        noise_key = tuple(int(s) for s in seed) + (1,)
-    rng = np.random.default_rng(noise_key)
+    rng = np.random.default_rng(derive_seed(seed, 1))
     n_train = round(0.8 * per_class)
     train_x, train_y, val_x, val_y = [], [], [], []
     for cls in range(num_classes):

@@ -7,18 +7,24 @@ The top-k candidates by screening drop are re-pruned from the same dense
 checkpoint and retrained with the full schedule; the winner is the finalist
 with the smallest full-schedule drop.
 
-Every phase is a pure function of (config, master seed), so interrupted runs
-resume idempotently from the trial log and reruns produce byte-identical
-artifacts. Screening and finalist retraining share one per-candidate step,
-which fans out across a pool of forked processes (one per CPU this process may
-run on, capped by the PRUNESPACE_WORKERS environment variable); results are
-taken in candidate order, so parallel and serial runs emit identical logs,
-reports and checkpoints. Each worker caps numpy's OpenBLAS to one thread, so
-the workers do not oversubscribe the cores; the parent keeps its own setting.
-Where OpenBLAS exports no thread-count call, the workers keep the library's
-default and one warning is logged. Wall-clock timings are observations, not
-outputs: they go to a separate plain-text sidecar that is excluded from all
-determinism guarantees.
+The dense baseline is derived once per run as a `DenseBaseline` (resolved
+architecture, dataset, weights, validation accuracy) and passed to both later
+phases. A fresh run reads the accuracy off the dense training trace; a resumed
+run evaluates the reloaded checkpoint once.
+
+Every phase is a pure function of (config, master seed): each random stream is
+keyed by `derive_seed` from the master seed and a per-phase tag, so
+interrupted runs resume idempotently from the trial log and reruns produce
+byte-identical artifacts. Screening and finalist retraining share one
+per-candidate step, which fans out across a pool of forked processes (one per
+CPU this process may run on, capped by the PRUNESPACE_WORKERS environment
+variable); results are taken in candidate order, so parallel and serial runs
+emit identical logs, reports and checkpoints. Each worker caps numpy's
+OpenBLAS to one thread, so the workers do not oversubscribe the cores; the
+parent keeps its own setting. Where OpenBLAS exports no thread-count call, the
+workers keep the library's default and one warning is logged. Wall-clock
+timings are observations, not outputs: they go to a separate plain-text
+sidecar that is excluded from all determinism guarantees.
 """
 from __future__ import annotations
 
@@ -199,31 +205,35 @@ def full_preset(arch: str = "resnet-tiny", seed: int = 0) -> PipelineConfig:
 # -- phases ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DenseBaseline:
+    """The trained dense network of one run, derived once and read by every phase.
+
+    Every candidate is pruned from `weights`, trained on `data`, and its drop
+    measured against `accuracy`, the validation accuracy of `weights` on `data`.
+    """
+
+    arch: ArchitectureSpec
+    data: tuple[Batch, Batch]
+    weights: NetworkWeights
+    accuracy: float
+
+
 def train_dense_baseline(
     config: PipelineConfig, data: tuple[Batch, Batch] | None = None
-) -> tuple[NetworkWeights, float]:
+) -> DenseBaseline:
     """Scratch-train the unpruned network; its accuracy anchors every drop."""
     arch = resolve_arch(config.arch)
     if data is None:
         data = config.dataset.build()
     shell = init_weights(arch, derive_seed(config.seed, _TAG_DENSE_INIT))
     result = train(shell, arch, data, config.dense_schedule, derive_seed(config.seed, _TAG_DENSE_TRAIN))
-    return result.weights, result.trace[-1]
-
-
-@dataclass(frozen=True)
-class _SearchState:
-    """What training any candidate of one run reads; fixed for the run."""
-
-    config: PipelineConfig
-    arch: ArchitectureSpec
-    data: tuple[Batch, Batch]
-    dense_weights: NetworkWeights
-    dense_acc: float
+    # the last trace entry is the validation accuracy of the returned weights
+    return DenseBaseline(arch, data, result.weights, result.trace[-1])
 
 
 def _train_candidate(
-    state: _SearchState, full: bool, index: int, ratios: Sequence[float]
+    config: PipelineConfig, baseline: DenseBaseline, full: bool, index: int, ratios: Sequence[float]
 ) -> tuple[TrialRecord, NetworkWeights | None, float]:
     """Prune candidate `index` from the dense weights, train it, and record the drop.
 
@@ -231,13 +241,13 @@ def _train_candidate(
     trained weights; screening (`full=False`) discards them.
     """
     started = time.perf_counter()
-    config, arch = state.config, state.arch
+    arch = baseline.arch
     schedule, tag = (config.full_schedule, _TAG_FULL) if full else (config.short_schedule, _TAG_SCREEN)
     prune_seed = None
     if config.method == "random":
         prune_seed = derive_seed(derive_seed(config.seed, _TAG_PRUNE), index)
     pruned = one_shot_prune(
-        state.dense_weights, arch, ratios, method=config.method, seed=prune_seed,
+        baseline.weights, arch, ratios, method=config.method, seed=prune_seed,
         ratio_max=config.space.ratio_max,
     )
     cost = network_cost(arch, pruned.plan)
@@ -245,10 +255,10 @@ def _train_candidate(
     weights = None
     try:
         result = train(
-            pruned.weights, pruned.arch, state.data, schedule,
+            pruned.weights, pruned.arch, baseline.data, schedule,
             derive_seed(derive_seed(config.seed, tag), index),
         )
-        drop = accuracy_drop(state.dense_acc, result.trace[-1])
+        drop = accuracy_drop(baseline.accuracy, result.trace[-1])
         if full:
             weights = result.weights
     except TrainingDiverged:
@@ -309,14 +319,14 @@ def blas_threads() -> int | None:
     return api[1]() if api is not None else None
 
 
-_worker_state: _SearchState | None = None
+_worker_state: tuple[PipelineConfig, DenseBaseline] | None = None
 
 
-def _init_worker(state: _SearchState | None) -> None:
+def _init_worker(config: PipelineConfig | None, baseline: DenseBaseline | None) -> None:
     # One BLAS thread per worker: the pool already keeps every core busy, and
     # OpenBLAS threads in each of several workers oversubscribe the cores.
     global _worker_state
-    _worker_state = state
+    _worker_state = (config, baseline)
     api = _openblas_threads_api()
     if api is not None:
         api[0](1)
@@ -325,14 +335,17 @@ def _init_worker(state: _SearchState | None) -> None:
 def _pool_task(
     full: bool, task: tuple[int, tuple[float, ...]]
 ) -> tuple[TrialRecord, NetworkWeights | None, float]:
-    return _train_candidate(_worker_state, full, *task)
+    return _train_candidate(*_worker_state, full, *task)
 
 
-def _candidate_pool(state: _SearchState | None, workers: int) -> ProcessPoolExecutor:
-    """Worker pool whose processes hold `state` and run one BLAS thread each.
+def _candidate_pool(
+    config: PipelineConfig | None, baseline: DenseBaseline | None, workers: int
+) -> ProcessPoolExecutor:
+    """Worker pool whose processes hold the run's config and baseline and run
+    one BLAS thread each.
 
     Workers are forked where the platform can: a fork child inherits the
-    state's arrays and numpy's import without pickling or re-importing.
+    baseline's arrays and numpy's import without pickling or re-importing.
     """
     _openblas_threads_api()  # warn here, once, rather than in every worker
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
@@ -340,21 +353,24 @@ def _candidate_pool(state: _SearchState | None, workers: int) -> ProcessPoolExec
         max_workers=workers,
         mp_context=multiprocessing.get_context(method),
         initializer=_init_worker,
-        initargs=(state,),
+        initargs=(config, baseline),
     )
 
 
 def _map_candidates(
-    state: _SearchState, full: bool, tasks: Sequence[tuple[int, tuple[float, ...]]]
+    config: PipelineConfig,
+    baseline: DenseBaseline,
+    full: bool,
+    tasks: Sequence[tuple[int, tuple[float, ...]]],
 ) -> Iterator[tuple[TrialRecord, NetworkWeights | None, float]]:
     """`_train_candidate` over `tasks`, serially or on the pool; yields in task order."""
     workers = worker_count(len(tasks))
     if workers == 1:
         for index, ratios in tasks:
-            yield _train_candidate(state, full, index, ratios)
+            yield _train_candidate(config, baseline, full, index, ratios)
         return
     log.info("training %d candidates across %d workers", len(tasks), workers)
-    with _candidate_pool(state, workers) as pool:
+    with _candidate_pool(config, baseline, workers) as pool:
         yield from pool.map(functools.partial(_pool_task, full), tasks)
 
 
@@ -377,22 +393,16 @@ def worker_count(pending: int) -> int:
 
 def screen_candidates(
     config: PipelineConfig,
-    dense_weights: NetworkWeights,
-    data: tuple[Batch, Batch] | None = None,
+    baseline: DenseBaseline,
     trial_log: TrialLog | None = None,
     timing_sink: Callable[[str], None] | None = None,
 ) -> list[TrialRecord]:
     """Prune, short-train, and log every sampled candidate, in index order.
 
     Resumes past any records already in the trial log, so an interrupted run
-    picks up at the first missing index and converges to the same final set.
+    picks up at the first missing index and converges to the same final set;
+    the population is sampled only when some index is still missing.
     """
-    arch = resolve_arch(config.arch)
-    if data is None:
-        data = config.dataset.build(dtype=dense_weights.dtype)
-    dense_acc = float(evaluate(dense_weights, arch, data[1]))
-    recipes = sample_population(arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
-
     records: list[TrialRecord] = list(trial_log.records()) if trial_log is not None else []
     for position, rec in enumerate(records):
         if rec.index != position:
@@ -406,9 +416,9 @@ def screen_candidates(
     if len(records) == config.n:
         return records
 
-    state = _SearchState(config, arch, data, dense_weights, dense_acc)
+    recipes = sample_population(baseline.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
     tasks = [(i, recipes[i].ratios) for i in range(len(records), config.n)]
-    for record, _, seconds in _map_candidates(state, False, tasks):
+    for record, _, seconds in _map_candidates(config, baseline, False, tasks):
         if trial_log is not None:
             trial_log.append(record)
         if timing_sink is not None:
@@ -437,8 +447,7 @@ class PipelineResult:
 def retrain_top_k(
     config: PipelineConfig,
     trials: Sequence[TrialRecord],
-    dense_weights: NetworkWeights,
-    data: tuple[Batch, Batch] | None = None,
+    baseline: DenseBaseline,
     save_dir: str | Path | None = None,
     timing_sink: Callable[[str], None] | None = None,
 ) -> PipelineResult:
@@ -449,16 +458,10 @@ def retrain_top_k(
     """
     if len(trials) < config.top_k:
         raise ValidationError(f"need at least top_k={config.top_k} trials, got {len(trials)}")
-    arch = resolve_arch(config.arch)
-    if data is None:
-        data = config.dataset.build(dtype=dense_weights.dtype)
-    dense_acc = float(evaluate(dense_weights, arch, data[1]))
     shortlist = top_k_winners(trials, config.top_k)
-
-    state = _SearchState(config, arch, data, dense_weights, dense_acc)
     tasks = [(c.index, c.recipe) for c in shortlist]
     finalists: list[TrialRecord] = []
-    for rank, (record, weights, seconds) in enumerate(_map_candidates(state, True, tasks)):
+    for rank, (record, weights, seconds) in enumerate(_map_candidates(config, baseline, True, tasks)):
         finalists.append(record)
         if timing_sink is not None:
             timing_sink(f"full\t{record.index}\t{seconds:.3f}")
@@ -475,7 +478,7 @@ def retrain_top_k(
     winner = top_k_winners(finalists, 1)[0]
     return PipelineResult(
         config=config,
-        dense_accuracy=dense_acc,
+        dense_accuracy=baseline.accuracy,
         trials=tuple(trials),
         finalists=tuple(finalists),
         winner=winner,
@@ -518,37 +521,44 @@ def _dense_checkpoint(
     out: Path,
     data: tuple[Batch, Batch],
     timing_sink: Callable[[str], None],
-) -> tuple[NetworkWeights, float]:
-    arch = resolve_arch(config.arch)
+) -> DenseBaseline:
+    """The run's baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
     path = out / "dense.ckpt"
     if path.exists():
+        arch = resolve_arch(config.arch)
         weights, _ = load_checkpoint(path)
         if weights.arch_name != arch.name:
             raise ValidationError(
                 f"{path} holds weights for {weights.arch_name!r}, config wants {arch.name!r}"
             )
         log.info("reusing dense baseline from %s", path)
-        return weights, float(evaluate(weights, arch, data[1]))
+        return DenseBaseline(arch, data, weights, evaluate(weights, arch, data[1]))
     started = time.perf_counter()
-    weights, dense_acc = train_dense_baseline(config, data)
+    baseline = train_dense_baseline(config, data)
     timing_sink(f"dense\t-\t{time.perf_counter() - started:.3f}")
-    save_checkpoint(path, weights, meta={"val_accuracy": dense_acc})
-    log.info("dense baseline: val accuracy %.4f", dense_acc)
-    return weights, dense_acc
+    save_checkpoint(path, baseline.weights, meta={"val_accuracy": baseline.accuracy})
+    log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
+    return baseline
+
+
+def _screen_run(
+    config: PipelineConfig, out: Path, timings: list[str]
+) -> tuple[DenseBaseline, list[TrialRecord]]:
+    """Claim `out`, get the baseline, screen the population and write its reports."""
+    out.mkdir(parents=True, exist_ok=True)
+    config_doc = config.to_json()
+    _claim_run_dir(out, config_doc)
+    baseline = _dense_checkpoint(config, out, config.dataset.build(), timings.append)
+    trial_log = TrialLog(out / "trials.jsonl", config=config_doc)
+    trials = screen_candidates(config, baseline, trial_log, timings.append)
+    write_reports(out, trials, config.top_k)
+    return baseline, trials
 
 
 def explore_space(config: PipelineConfig, out_dir: str | Path) -> list[TrialRecord]:
     """Population screening without winner retraining: trial log plus report CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config_doc = config.to_json()
-    _claim_run_dir(out, config_doc)
-    timings: list[str] = []
-    data = config.dataset.build()
-    dense_weights, _ = _dense_checkpoint(config, out, data, timings.append)
-    trial_log = TrialLog(out / "trials.jsonl", config=config_doc)
-    trials = screen_candidates(config, dense_weights, data, trial_log, timings.append)
-    write_reports(out, trials, config.top_k)
+    out, timings = Path(out_dir), []
+    _, trials = _screen_run(config, out, timings)
     with open(out / "timings.txt", "a") as f:
         f.writelines(line + "\n" for line in timings)
     return trials
@@ -556,28 +566,12 @@ def explore_space(config: PipelineConfig, out_dir: str | Path) -> list[TrialReco
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """All three phases; resumable; byte-identical artifacts on rerun."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config_doc = config.to_json()
-    _claim_run_dir(out, config_doc)
-    timings: list[str] = []
-    data = config.dataset.build()
-
-    dense_weights, dense_acc = _dense_checkpoint(config, out, data, timings.append)
-    trial_log = TrialLog(out / "trials.jsonl", config=config_doc)
-    trials = screen_candidates(config, dense_weights, data, trial_log, timings.append)
-    write_reports(out, trials, config.top_k)
-    result = retrain_top_k(config, trials, dense_weights, data, save_dir=out, timing_sink=timings.append)
-    (out / "winners.json").write_text(
-        canonical_json(
-            {
-                "dense_accuracy": result.dense_accuracy,
-                "finalists": [trial_to_json(t) for t in result.finalists],
-                "winner": trial_to_json(result.winner),
-            }
-        )
-        + "\n"
-    )
+    out, timings = Path(out_dir), []
+    baseline, trials = _screen_run(config, out, timings)
+    result = retrain_top_k(config, trials, baseline, save_dir=out, timing_sink=timings.append)
+    winners = result.to_json()
+    del winners["config"]  # config.json already holds it
+    (out / "winners.json").write_text(canonical_json(winners) + "\n")
     with open(out / "timings.txt", "a") as f:
         f.writelines(line + "\n" for line in timings)
     log.info(

@@ -25,6 +25,7 @@ from .arch import (
 from .errors import ValidationError
 from .network import NetworkWeights
 from .sampling import PruningRecipe, _ratios_of
+from .seeds import derive_seed
 
 METHODS = ("l2", "l1", "random")
 
@@ -118,7 +119,7 @@ def one_shot_prune(
     }
     for unit in prunable_units(arch):
         keep = base_plan.kept[unit.layer_ids[0]]
-        rng = np.random.default_rng((*_seed_base(seed), unit.index)) if method == "random" else None
+        rng = np.random.default_rng(derive_seed(seed, unit.index)) if method == "random" else None
         scores = unit_scores(weights, arch, unit, method, rng)
         # stable argsort on negated scores: ties keep the lower filter index
         order = np.argsort(-scores, kind="stable")[:keep]
@@ -153,9 +154,3 @@ def one_shot_prune(
                 new_t[role] = np.ascontiguousarray(t[role][out_keep])
         tensors[l.id] = new_t
     return PrunedNetwork(NetworkWeights(tensors, new_arch.name), new_arch, plan)
-
-
-def _seed_base(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)

@@ -23,6 +23,7 @@ import numpy as np
 from .arch import ArchitectureSpec, RATIO_MAX_DEFAULT, prunable_units, resolve_plan
 from .cost import cost_table, fractional_uniform_metrics, network_cost
 from .errors import FeasibilityError, SchemaError, ValidationError
+from .seeds import derive_seed
 
 DEFAULT_DELTA = 0.002
 DEFAULT_SIGMA = 0.05
@@ -275,13 +276,6 @@ def _anchor(arch: ArchitectureSpec, space: SpaceSpec) -> UniformBase:
     if space.target_cflops is not None:
         return uniform_base_ratio(arch, space.target_cflops, space.delta, "flops", space.ratio_max)
     return uniform_base_ratio(arch, space.target_cparams, space.delta_params, "params", space.ratio_max)
-
-
-def derive_seed(seed: int | Sequence[int], index: int) -> tuple[int, ...]:
-    """Per-item seed key: append the index to the base seed tuple."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed), int(index))
-    return tuple(int(s) for s in seed) + (int(index),)
 
 
 def sample_recipe(

@@ -22,6 +22,7 @@ from .arch import ArchitectureSpec
 from .dataset import Batch
 from .errors import TrainingDiverged, ValidationError
 from .network import NetworkWeights, evaluate, init_weights, loss_and_grads
+from .seeds import derive_seed
 
 KINDS = ("finetune", "rewind", "scratch")
 _SCHEDULE_FIELDS = {
@@ -117,12 +118,6 @@ class TrainResult:
     final_loss: float
 
 
-def _seed_key(seed, tag: int) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed), tag)
-    return tuple(int(s) for s in seed) + (tag,)
-
-
 def train(
     weights: NetworkWeights,
     arch: ArchitectureSpec,
@@ -138,10 +133,10 @@ def train(
     """
     train_batch, val_batch = data
     if schedule.kind == "scratch":
-        weights = init_weights(arch, _seed_key(seed, 1), dtype=weights.dtype)
+        weights = init_weights(arch, derive_seed(seed, 1), dtype=weights.dtype)
     else:
         weights = weights.copy()
-    rng = np.random.default_rng(_seed_key(seed, 0))
+    rng = np.random.default_rng(derive_seed(seed, 0))
     velocity = {
         lid: {role: np.zeros_like(a) for role, a in t.items()}
         for lid, t in weights.tensors.items()

@@ -69,8 +69,8 @@ def desk_dense():
     """Dense baseline for the desk preset, trained once and shared."""
     config = desk_preset()
     t0 = time.perf_counter()
-    weights, acc = train_dense_baseline(config)
-    return weights, acc, time.perf_counter() - t0
+    baseline = train_dense_baseline(config)
+    return baseline, time.perf_counter() - t0
 
 
 def test_criterion_01_cost_model_matches_enumeration():
@@ -303,7 +303,8 @@ def test_criterion_09_schedule_anchor_values():
 
 
 def test_criterion_10_desk_scale_end_to_end(desk_dense, tmp_path):
-    weights, dense_acc, dense_seconds = desk_dense
+    baseline, dense_seconds = desk_dense
+    dense_acc = baseline.accuracy
     _report(
         10,
         "dense baseline reaches 95% validation accuracy inside five minutes",
@@ -324,14 +325,13 @@ def test_criterion_10_desk_scale_end_to_end(desk_dense, tmp_path):
 
 def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
     """Exploratory: reported for inspection, dominance not asserted."""
-    dense_weights, _, _ = desk_dense
+    baseline, _ = desk_dense
     arch = builtin_arch("resnet-tiny")
     configs = {
         "std-0.01": 0.01,
         "std-0.10": 0.1,
     }
     trials_by_space = {}
-    data = DatasetSpec().build()
     for label, cap in configs.items():
         config = PipelineConfig(
             arch="resnet-tiny",
@@ -345,7 +345,7 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
             seed=0,
         )
         log = TrialLog(tmp_path / f"{label}.jsonl", config=config.to_json())
-        trials_by_space[label] = screen_candidates(config, dense_weights, data, log)
+        trials_by_space[label] = screen_candidates(config, baseline, log)
     assert all(len(t) == 50 for t in trials_by_space.values())
 
     report = compare_spaces(trials_by_space)

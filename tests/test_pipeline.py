@@ -139,8 +139,9 @@ def test_worker_count_env(monkeypatch):
 
 def test_dense_baseline_deterministic():
     config = _mini_config()
-    a_weights, a_acc = train_dense_baseline(config)
-    b_weights, b_acc = train_dense_baseline(config)
+    a, b = train_dense_baseline(config), train_dense_baseline(config)
+    a_weights, a_acc = a.weights, a.accuracy
+    b_weights, b_acc = b.weights, b.accuracy
     assert a_acc == b_acc
     for (lid, role, ta), (_, _, tb) in zip(a_weights.items(), b_weights.items()):
         assert np.array_equal(ta, tb), (lid, role)
@@ -149,8 +150,8 @@ def test_dense_baseline_deterministic():
 def test_screen_candidates_order_and_content(monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    dense, _ = train_dense_baseline(config)
-    records = screen_candidates(config, dense)
+    baseline = train_dense_baseline(config)
+    records = screen_candidates(config, baseline)
     assert [r.index for r in records] == list(range(config.n))
     arch = resolve_arch(config.arch)
     recipes = sample_population(arch, config.space, config.n, derive_seed(config.seed, 3))
@@ -165,24 +166,23 @@ def test_screen_candidates_order_and_content(monkeypatch):
 def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    dense, _ = train_dense_baseline(config)
-    data = config.dataset.build()
+    baseline = train_dense_baseline(config)
 
     full_path = tmp_path / "full.jsonl"
     full_log = TrialLog(full_path, config.to_json())
-    screen_candidates(config, dense, data, full_log)
+    screen_candidates(config, baseline, full_log)
 
     # keep the header and first two records, then resume
     lines = full_path.read_text().splitlines()
     part_path = tmp_path / "part.jsonl"
     part_path.write_text("\n".join(lines[:3]) + "\n")
     part_log = TrialLog(part_path, config.to_json())
-    resumed = screen_candidates(config, dense, data, part_log)
+    resumed = screen_candidates(config, baseline, part_log)
     assert part_path.read_bytes() == full_path.read_bytes()
     assert [r.index for r in resumed] == list(range(config.n))
 
     # a complete log short-circuits to the stored records
-    again = screen_candidates(config, dense, data, TrialLog(full_path, config.to_json()))
+    again = screen_candidates(config, baseline, TrialLog(full_path, config.to_json()))
     assert again == resumed
     assert full_path.read_bytes() == part_path.read_bytes()
 
@@ -190,31 +190,29 @@ def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
 def test_screen_rejects_gapped_log(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config(n=4)
-    dense, _ = train_dense_baseline(config)
-    data = config.dataset.build()
+    baseline = train_dense_baseline(config)
     log_path = tmp_path / "gap.jsonl"
     gap_log = TrialLog(log_path, config.to_json())
     full_log = TrialLog(tmp_path / "full.jsonl", config.to_json())
-    records = screen_candidates(config, dense, data, full_log)
+    records = screen_candidates(config, baseline, full_log)
     gap_log.append(records[0])
     gap_log.append(records[2])
     with pytest.raises(ValidationError):
-        screen_candidates(config, dense, data, TrialLog(log_path, config.to_json()))
+        screen_candidates(config, baseline, TrialLog(log_path, config.to_json()))
     small = _mini_config(n=2, top_k=1)
     with pytest.raises(ValidationError):
-        screen_candidates(small, dense, data, TrialLog(tmp_path / "full.jsonl", small.to_json()))
+        screen_candidates(small, baseline, TrialLog(tmp_path / "full.jsonl", small.to_json()))
 
 
 def test_parallel_matches_serial(tmp_path, monkeypatch):
     config = _mini_config()
-    dense, _ = train_dense_baseline(config)
-    data = config.dataset.build()
+    baseline = train_dense_baseline(config)
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     serial_log = TrialLog(tmp_path / "serial.jsonl", config.to_json())
-    serial = screen_candidates(config, dense, data, serial_log)
+    serial = screen_candidates(config, baseline, serial_log)
     monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
     parallel_log = TrialLog(tmp_path / "parallel.jsonl", config.to_json())
-    parallel = screen_candidates(config, dense, data, parallel_log)
+    parallel = screen_candidates(config, baseline, parallel_log)
     assert serial == parallel
     assert (tmp_path / "serial.jsonl").read_bytes() == (tmp_path / "parallel.jsonl").read_bytes()
 
@@ -240,7 +238,7 @@ def test_pool_workers_run_one_blas_thread():
     before = blas_threads()
     if before is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
-    with _candidate_pool(None, 2) as pool:
+    with _candidate_pool(None, None, 2) as pool:
         counts = [f.result(timeout=60) for f in [pool.submit(blas_threads) for _ in range(4)]]
     assert counts == [1, 1, 1, 1]
     assert blas_threads() == before
@@ -252,7 +250,7 @@ def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
     try:
         with caplog.at_level("WARNING", logger="prunespace"):
             for _ in range(2):
-                with _candidate_pool(None, 2) as pool:
+                with _candidate_pool(None, None, 2) as pool:
                     assert pool.submit(blas_threads).result(timeout=60) is None
         assert len([r for r in caplog.records if "thread-count" in r.getMessage()]) == 1
     finally:
@@ -262,10 +260,9 @@ def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
 def test_retrain_top_k(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    dense, _ = train_dense_baseline(config)
-    data = config.dataset.build()
-    trials = screen_candidates(config, dense, data)
-    result = retrain_top_k(config, trials, dense, data, save_dir=tmp_path)
+    baseline = train_dense_baseline(config)
+    trials = screen_candidates(config, baseline)
+    result = retrain_top_k(config, trials, baseline, save_dir=tmp_path)
     assert len(result.finalists) == config.top_k
     for f in result.finalists:
         assert f.schedule_kind == "finetune" and f.epochs == 2
@@ -277,7 +274,7 @@ def test_retrain_top_k(tmp_path, monkeypatch):
     doc = result.to_json()
     assert set(doc) == {"config", "dense_accuracy", "finalists", "winner"}
     with pytest.raises(ValidationError):
-        retrain_top_k(config, trials[:1], dense, data)
+        retrain_top_k(config, trials[:1], baseline)
 
 
 def test_explore_space_artifacts(tmp_path, monkeypatch):
@@ -335,6 +332,38 @@ def test_run_pipeline_artifacts(tmp_path, monkeypatch):
     ).read_bytes()
 
 
+def test_dense_baseline_derived_once_per_run(tmp_path, monkeypatch):
+    # a fresh run takes the dense accuracy from the training trace; a rerun
+    # into the finished directory evaluates the reloaded checkpoint once and
+    # samples no population, since every trial is already logged
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    calls = {"evaluate": 0, "sample_population": 0}
+
+    def counting(name):
+        real = getattr(pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    config = _mini_config()
+    out = tmp_path / "run"
+
+    first = run_pipeline(config, out)
+    assert calls == {"evaluate": 0, "sample_population": 1}
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.txt"}
+
+    again = run_pipeline(config, out)
+    assert calls == {"evaluate": 1, "sample_population": 1}
+    assert again.dense_accuracy == first.dense_accuracy
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.txt"}
+    assert after == before
+
+
 def test_screen_divergence_is_flagged(monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = PipelineConfig(
@@ -347,7 +376,7 @@ def test_screen_divergence_is_flagged(monkeypatch):
         full_schedule=finetune_schedule(2, lr0=50.0),
         dense_schedule=scratch_schedule(2, lr0=0.01),
     )
-    dense, _ = train_dense_baseline(config)
-    records = screen_candidates(config, dense)
+    baseline = train_dense_baseline(config)
+    records = screen_candidates(config, baseline)
     assert all(r.diverged for r in records)
     assert all(math.isinf(r.accuracy_drop) for r in records)
