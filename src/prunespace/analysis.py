@@ -36,7 +36,6 @@ class TrialRecord:
     schedule_kind: str
     epochs: int
     seed: int
-    wall_time: float | None = None
     diverged: bool = False
 
     def __post_init__(self):

@@ -6,9 +6,10 @@ outputs (a residual add), which forces those producers to share output-channel
 structure. Layers whose outputs are summed together therefore belong to one
 coupling group and are always pruned identically.
 
-A pruning recipe assigns one ratio in [0, R] to each prunable unit (a free
-layer or a whole coupling group). `resolve_plan` turns a recipe into concrete
-per-layer kept-channel counts with the rounding rule
+A pruning recipe assigns one ratio in [0, 1] to each prunable unit (a free
+layer or a whole coupling group); a pruning space may bound it lower, by its
+ratio_max R. `resolve_plan` is the one place a recipe becomes concrete
+per-layer kept-channel counts, with the rounding rule
 
     kept_out = max(1, round_half_up((1 - r) * c_out))
 
@@ -20,9 +21,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import SchemaError, ValidationError
+
+if TYPE_CHECKING:
+    from .sampling import PruningRecipe
 
 RATIO_MAX_DEFAULT = 0.95
 
@@ -71,14 +75,12 @@ class PrunableUnit:
 
 @dataclass(frozen=True)
 class SubnetworkPlan:
-    """Concrete kept-channel counts (and indices) for every layer of an arch.
+    """Concrete kept-channel counts for every layer of an arch.
 
-    kept_indices are identity ranges until weight-aware pruning fills them
-    with norm-ranked survivors.
+    Which filters survive is decided later, by weight-aware pruning.
     """
 
     kept: Mapping[int, int]
-    kept_indices: Mapping[int, tuple[int, ...]]
 
 
 class ArchitectureSpec:
@@ -263,27 +265,33 @@ def kept_channels(c_out: int, ratio: float) -> int:
 
 
 def resolve_plan(
-    arch: ArchitectureSpec, recipe: Sequence[float], ratio_max: float = RATIO_MAX_DEFAULT
+    arch: ArchitectureSpec, recipe: PruningRecipe | Sequence[float], ratio_max: float = 1.0
 ) -> SubnetworkPlan:
-    """Turn a per-unit ratio vector into per-layer kept counts.
+    """Turn a recipe into per-layer kept counts.
 
-    Coupled layers receive one shared count; non-prunable layers and the
-    classifier keep everything. kept_indices are identity (shape-only use).
+    `recipe` is a per-unit ratio sequence, or any object with `ratios` (a
+    sampled recipe) whose `arch`, when it has one, must name this
+    architecture. Every ratio must lie in [0, ratio_max]; pass a space's
+    bound to hold a recipe to that space. Coupled layers receive one shared
+    count; non-prunable layers and the classifier keep everything.
     """
+    if hasattr(recipe, "ratios"):
+        named = getattr(recipe, "arch", arch.name)
+        if named != arch.name:
+            raise ValidationError(f"recipe is for {named!r}, not {arch.name!r}")
+        recipe = recipe.ratios
     units = prunable_units(arch)
     ratios = [float(r) for r in recipe]
     if len(ratios) != len(units):
         raise ValidationError(f"recipe length {len(ratios)} != {len(units)} prunable units")
-    for i, r in enumerate(ratios):
-        if not (0.0 <= r <= ratio_max) or math.isnan(r):
-            raise ValidationError(f"ratio[{i}] = {r} outside [0, {ratio_max}]")
     kept = {l.id: l.c_out for l in arch.layers}
-    for unit, r in zip(units, ratios):
+    for i, (unit, r) in enumerate(zip(units, ratios)):
+        if not 0.0 <= r <= ratio_max:  # NaN fails every comparison
+            raise ValidationError(f"ratio[{i}] = {r} outside [0, {ratio_max}]")
         k = kept_channels(unit.c_out, r)
         for lid in unit.layer_ids:
             kept[lid] = k
-    indices = {lid: tuple(range(n)) for lid, n in kept.items()}
-    return SubnetworkPlan(kept=kept, kept_indices=indices)
+    return SubnetworkPlan(kept)
 
 
 # -- JSON wire format ---------------------------------------------------------

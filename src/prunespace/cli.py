@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage, 3 validation/schema, 4 sampler feasibility,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -106,12 +107,7 @@ def _cmd_cost(args) -> int:
         raise ValidationError("give either --recipe or --uniform, not both")
     plan = None
     if args.recipe is not None:
-        recipe = recipe_from_json(_read_json(args.recipe))
-        if recipe.arch != arch.name:
-            raise ValidationError(
-                f"recipe targets {recipe.arch!r} but the architecture is {arch.name!r}"
-            )
-        plan = resolve_plan(arch, recipe.ratios)
+        plan = resolve_plan(arch, recipe_from_json(_read_json(args.recipe)))
     elif args.uniform is not None:
         plan = resolve_plan(arch, [args.uniform] * len(prunable_units(arch)))
     report = network_cost(arch, plan)
@@ -136,10 +132,6 @@ def _cmd_prune(args) -> int:
             f"checkpoint holds {weights.arch_name!r} weights, architecture is {arch.name!r}"
         )
     recipe = recipe_from_json(_read_json(args.recipe))
-    if recipe.arch != arch.name:
-        raise ValidationError(
-            f"recipe targets {recipe.arch!r} but the architecture is {arch.name!r}"
-        )
     seed = args.seed if args.method == "random" else None
     pruned = one_shot_prune(weights, arch, recipe, method=args.method, seed=seed)
     save_checkpoint(
@@ -263,6 +255,7 @@ def _cmd_report(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # parsing does not change the parser, so calls of main share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunespace",

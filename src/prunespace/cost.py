@@ -64,13 +64,12 @@ def network_cost(
 ) -> CostReport:
     """Totals for the (sub)network plus ratios relative to the dense network.
 
-    `plan` may be a resolved SubnetworkPlan, a per-unit ratio vector, or any
-    object with a `ratios` attribute (a sampled recipe); None means dense.
-    A plan whose kept count leaves [1, c_out], or whose layers of one
-    coupling group disagree on it, raises ValidationError.
+    `plan` may be a resolved SubnetworkPlan, or any recipe `resolve_plan`
+    takes; None means dense. A plan whose kept count leaves [1, c_out], or
+    whose layers of one coupling group disagree on it, raises ValidationError.
     """
     if plan is not None and not isinstance(plan, SubnetworkPlan):
-        plan = resolve_plan(arch, getattr(plan, "ratios", plan))
+        plan = resolve_plan(arch, plan)
     t = cost_table(arch)
     out_ch = t.dense_out if plan is None else np.array([plan.kept[l.id] for l in arch.layers])
     cols = np.concatenate([t.unit_c_out, t.fixed])

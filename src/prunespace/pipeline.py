@@ -246,10 +246,7 @@ def _train_candidate(
     prune_seed = None
     if config.method == "random":
         prune_seed = derive_seed(derive_seed(config.seed, _TAG_PRUNE), index)
-    pruned = one_shot_prune(
-        baseline.weights, arch, ratios, method=config.method, seed=prune_seed,
-        ratio_max=config.space.ratio_max,
-    )
+    pruned = one_shot_prune(baseline.weights, arch, ratios, method=config.method, seed=prune_seed)
     cost = network_cost(arch, pruned.plan)
     diverged = False
     weights = None

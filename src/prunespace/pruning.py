@@ -10,21 +10,14 @@ Ties keep the lower filter index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arch import (
-    ArchitectureSpec,
-    PrunableUnit,
-    SubnetworkPlan,
-    prunable_units,
-    resolve_plan,
-    RATIO_MAX_DEFAULT,
-)
+from .arch import ArchitectureSpec, PrunableUnit, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
 from .network import NetworkWeights
-from .sampling import PruningRecipe, _ratios_of
+from .sampling import PruningRecipe
 from .seeds import derive_seed
 
 METHODS = ("l2", "l1", "random")
@@ -88,9 +81,13 @@ def unit_scores(
 
 @dataclass(frozen=True)
 class PrunedNetwork:
+    """The reduced network, the plan it realizes, and, per layer of the dense
+    arch, the indices of the filters that survived (ascending)."""
+
     weights: NetworkWeights
     arch: ArchitectureSpec
     plan: SubnetworkPlan
+    kept_indices: Mapping[int, tuple[int, ...]]
 
 
 def one_shot_prune(
@@ -99,26 +96,24 @@ def one_shot_prune(
     recipe: PruningRecipe | Sequence[float],
     method: str = "l2",
     seed=None,
-    ratio_max: float = RATIO_MAX_DEFAULT,
 ) -> PrunedNetwork:
     """Materialize the subnetwork a recipe selects from trained dense weights.
 
     Keeps the top-scoring filters per unit (ties to the lower index), slices
     every tensor to dense re-indexed arrays, and rebuilds the architecture at
-    the reduced widths. The returned plan records the surviving indices.
+    the reduced widths.
     """
     if method not in METHODS:
         raise ValidationError(f"ranking method must be one of {METHODS}, got {method!r}")
     if method == "random" and seed is None:
         raise ValidationError("random ranking needs a seed")
-    ratios = _ratios_of(arch, recipe)
-    base_plan = resolve_plan(arch, ratios, ratio_max=ratio_max)
+    plan = resolve_plan(arch, recipe)
 
     kept_indices: dict[int, tuple[int, ...]] = {
-        l.id: tuple(range(base_plan.kept[l.id])) for l in arch.layers
+        l.id: tuple(range(plan.kept[l.id])) for l in arch.layers
     }
     for unit in prunable_units(arch):
-        keep = base_plan.kept[unit.layer_ids[0]]
+        keep = plan.kept[unit.layer_ids[0]]
         rng = np.random.default_rng(derive_seed(seed, unit.index)) if method == "random" else None
         scores = unit_scores(weights, arch, unit, method, rng)
         # stable argsort on negated scores: ties keep the lower filter index
@@ -126,7 +121,6 @@ def one_shot_prune(
         chosen = tuple(int(i) for i in np.sort(order))
         for lid in unit.layer_ids:
             kept_indices[lid] = chosen
-    plan = SubnetworkPlan(kept=dict(base_plan.kept), kept_indices=kept_indices)
 
     new_layers = []
     for l in arch.layers:
@@ -142,10 +136,10 @@ def one_shot_prune(
     tensors: dict[int, dict[str, np.ndarray]] = {}
     for l in arch.layers:
         t = weights.tensors[l.id]
-        out_keep = np.asarray(plan.kept_indices[l.id], dtype=np.intp)
+        out_keep = np.asarray(kept_indices[l.id], dtype=np.intp)
         prods = arch.producers[l.id]
         if prods:
-            in_keep = np.asarray(plan.kept_indices[prods[0]], dtype=np.intp)
+            in_keep = np.asarray(kept_indices[prods[0]], dtype=np.intp)
         else:
             in_keep = np.arange(l.c_in, dtype=np.intp)
         new_t: dict[str, np.ndarray] = {"w": np.ascontiguousarray(t["w"][in_keep][:, out_keep])}
@@ -153,4 +147,4 @@ def one_shot_prune(
             if role in t:
                 new_t[role] = np.ascontiguousarray(t[role][out_keep])
         tensors[l.id] = new_t
-    return PrunedNetwork(NetworkWeights(tensors, new_arch.name), new_arch, plan)
+    return PrunedNetwork(NetworkWeights(tensors, new_arch.name), new_arch, plan, kept_indices)

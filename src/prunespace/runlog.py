@@ -32,10 +32,10 @@ _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValidationError("non-finite floats cannot be serialized; use null sentinels")
     text = format(x, ".17g")
-    if not any(c in text for c in ".eE"):
+    if "." not in text and "e" not in text:  # .17g writes exponents as "e"
         text += ".0"
     return text
 
@@ -48,7 +48,9 @@ def canonical_json(obj, sort_keys: bool = False) -> str:
 
 
 def _emit(obj, parts: list[str], sort_keys: bool) -> None:
-    if obj is None:
+    if isinstance(obj, (float, np.floating)):  # the commonest leaf, tested first
+        parts.append(_format_float(float(obj)))
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
@@ -56,8 +58,6 @@ def _emit(obj, parts: list[str], sort_keys: bool) -> None:
         parts.append("false")
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, Mapping):
@@ -102,7 +102,6 @@ def trial_to_json(t: TrialRecord) -> dict:
         "schedule": t.schedule_kind,
         "epochs": t.epochs,
         "seed": t.seed,
-        "wall_time": t.wall_time,
     }
 
 
@@ -127,7 +126,6 @@ def trial_from_json(doc: Mapping) -> TrialRecord:
             schedule_kind=str(doc["schedule"]),
             epochs=int(doc["epochs"]),
             seed=int(doc["seed"]),
-            wall_time=None if doc.get("wall_time") is None else float(doc["wall_time"]),
             diverged=diverged,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -163,16 +163,6 @@ def recipe_std(recipe: PruningRecipe | Sequence[float]) -> float:
     return float(np.std(np.asarray(ratios, dtype=np.float64)))
 
 
-def _ratios_of(
-    arch: ArchitectureSpec, recipe: PruningRecipe | Sequence[float]
-) -> tuple[float, ...]:
-    if isinstance(recipe, PruningRecipe):
-        if recipe.arch and recipe.arch != arch.name:
-            raise ValidationError(f"recipe is for {recipe.arch!r}, not {arch.name!r}")
-        return recipe.ratios
-    return tuple(float(r) for r in recipe)
-
-
 def _checks(space: SpaceSpec, c_flops, c_params, ratios: np.ndarray) -> tuple[list, np.ndarray]:
     """Each active constraint as (name, values, lower, upper) over a block of
     recipe rows, and the mask of the rows that pass them all."""
@@ -194,9 +184,9 @@ def is_member(
     arch: ArchitectureSpec, space: SpaceSpec, recipe: PruningRecipe | Sequence[float]
 ) -> MembershipReport:
     """Evaluate every active constraint; raises on malformed recipes."""
-    ratios = _ratios_of(arch, recipe)
-    report = network_cost(arch, resolve_plan(arch, ratios, ratio_max=space.ratio_max))
-    checks, passed = _checks(space, np.array([report.c_flops]), np.array([report.c_params]), np.array([ratios]))
+    report = network_cost(arch, resolve_plan(arch, recipe, space.ratio_max))
+    ratios = np.array([getattr(recipe, "ratios", recipe)], dtype=np.float64)
+    checks, passed = _checks(space, np.array([report.c_flops]), np.array([report.c_params]), ratios)
     return MembershipReport(bool(passed[0]), tuple(
         ConstraintCheck(name, float(v[0]), lo, hi, bool(lo <= v[0] <= hi)) for name, v, lo, hi in checks))
 

@@ -217,7 +217,7 @@ def test_criterion_07_pruned_forward_equals_masked_dense():
         batch = Batch(rng.normal(size=(4, *arch.input_shape)), rng.integers(0, 10, size=4))
         pruned = one_shot_prune(weights, arch, recipe)
         logits, _ = forward(pruned.weights, pruned.arch, batch)
-        reference = masked_dense_logits(weights, arch, pruned.plan, batch)
+        reference = masked_dense_logits(weights, arch, pruned, batch)
         rel = np.abs(logits - reference) / np.maximum(np.abs(reference), 1e-12)
         worst = max(worst, float(rel.max()))
     _report(

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,8 +89,6 @@ def test_resolve_plan_group_sharing():
     for u in units:
         kept = {plan.kept[lid] for lid in u.layer_ids}
         assert len(kept) == 1
-        idx = {tuple(plan.kept_indices[lid]) for lid in u.layer_ids}
-        assert len(idx) == 1
 
 
 def test_resolve_plan_validation():
@@ -97,9 +96,17 @@ def test_resolve_plan_validation():
     with pytest.raises(ValidationError):
         resolve_plan(arch, [0.5])  # wrong length
     with pytest.raises(ValidationError):
-        resolve_plan(arch, [0.5, 0.96])  # above R
+        resolve_plan(arch, [0.5, 0.96], ratio_max=0.95)  # above a space's R
+    with pytest.raises(ValidationError):
+        resolve_plan(arch, [0.5, 0.96], 0.95)  # the bound passed positionally
     with pytest.raises(ValidationError):
         resolve_plan(arch, [-0.1, 0.5])
+    with pytest.raises(ValidationError):
+        resolve_plan(arch, [0.5, 1.01])  # above the geometric domain [0, 1]
+    with pytest.raises(ValidationError):
+        resolve_plan(arch, [math.nan, 0.5])
+    # without a space's bound, any ratio in [0, 1] resolves
+    assert resolve_plan(arch, [0.96, 1.0]).kept == {0: 1, 1: 1, 2: 10}
 
 
 def test_arch_json_round_trip():

@@ -10,10 +10,14 @@ from prunespace import (
     SpaceSpec,
     TrialLog,
     TrialRecord,
+    builtin_arch,
     finetune_schedule,
+    init_weights,
     load_arch,
     load_checkpoint,
+    network_cost,
     pipeline_config_from_json,
+    save_checkpoint,
     scratch_schedule,
 )
 from prunespace.cli import main
@@ -72,6 +76,29 @@ def test_cost_uniform_and_recipe(tmp_path, capsys):
     wrong.write_text(json.dumps({"arch": "resnet-tiny", "ratios": [0.5] * 6}))
     assert main(["cost", "--arch", "chain3", "--recipe", str(wrong)]) == 3
     capsys.readouterr()
+
+
+def test_cost_and_prune_take_any_ratio_in_the_unit_interval(tmp_path, capsys):
+    # 0.97 lies above the default space bound (0.95) but inside [0, 1]; a
+    # space with ratio_max 0.99 samples such recipes
+    recipe = tmp_path / "r.json"
+    ratios = [0.5, 0.97, 0.25, 0.5, 0.5, 0.25]
+    recipe.write_text(json.dumps({"arch": "resnet-tiny", "ratios": ratios}))
+    code, out = _run(capsys, "cost", "--arch", "resnet-tiny", "--recipe", str(recipe))
+    assert code == 0
+    cost = json.loads(out)
+    assert cost["flops"] == network_cost(builtin_arch("resnet-tiny"), ratios).flops
+
+    dense_ckpt, pruned_ckpt = tmp_path / "dense.ckpt", tmp_path / "pruned.ckpt"
+    save_checkpoint(dense_ckpt, init_weights(builtin_arch("resnet-tiny"), seed=0))
+    code, out = _run(
+        capsys, "prune", "--arch", "resnet-tiny", "--checkpoint", str(dense_ckpt),
+        "--recipe", str(recipe), "--out-checkpoint", str(pruned_ckpt),
+    )
+    assert code == 0
+    assert json.loads(out) == cost
+    weights, _ = load_checkpoint(pruned_ckpt)
+    assert weights.tensors[1]["w"].shape[1] == 1  # layer 1 keeps round(0.03 * 8) -> 1 filter
 
 
 def test_sample_deterministic_jsonl(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunespace import (
+    PruningRecipe,
     SubnetworkPlan,
     ValidationError,
     builtin_arch,
@@ -52,6 +53,10 @@ def test_network_cost_accepts_ratios_and_recipes():
         ratios = [0.5, 0.5]
 
     assert network_cost(arch, Recipe()) == resolved
+    assert network_cost(arch, PruningRecipe("chain3", (0.5, 0.5))) == resolved
+    # a recipe that names another architecture is refused, even at a fitting length
+    with pytest.raises(ValidationError, match="recipe is for 'resnet-tiny'"):
+        network_cost(arch, PruningRecipe("resnet-tiny", (0.5, 0.5)))
 
 
 def test_resnet_tiny_dense_totals():
@@ -221,8 +226,8 @@ def test_network_cost_rejects_bad_plans():
     kept = dict(plan.kept)
     kept[1] = 9  # layer 1 has 8 filters
     with pytest.raises(ValidationError, match=r"layer 1: kept 9 must lie in \[1, 8\]"):
-        network_cost(arch, SubnetworkPlan(kept, plan.kept_indices))
+        network_cost(arch, SubnetworkPlan(kept))
     kept = dict(plan.kept)
     kept[2] -= 1  # layers 0, 2 and 4 are one coupling group
     with pytest.raises(ValidationError, match="match its coupling group"):
-        network_cost(arch, SubnetworkPlan(kept, plan.kept_indices))
+        network_cost(arch, SubnetworkPlan(kept))

@@ -56,7 +56,7 @@ def test_prune_keeps_top_filters():
     w0[0, 0, 0, 0] = 3.0
     w0[0, 2, 0, 0] = 2.0
     pruned = one_shot_prune(weights, arch, (0.5, 0.0))
-    assert pruned.plan.kept_indices[0] == (1, 3)
+    assert pruned.kept_indices[0] == (1, 3)
     assert pruned.arch.layer(0).c_out == 2
     assert pruned.arch.layer(1).c_in == 2
     np.testing.assert_array_equal(
@@ -72,7 +72,7 @@ def test_ties_keep_lower_index():
     weights = init_weights(arch, seed=3)
     weights.tensors[0]["w"][:] = 1.0  # all filters identical
     pruned = one_shot_prune(weights, arch, (0.5, 0.0))
-    assert pruned.plan.kept_indices[0] == (0, 1)
+    assert pruned.kept_indices[0] == (0, 1)
 
 
 def test_zero_recipe_is_identity():
@@ -90,7 +90,7 @@ def test_group_members_share_kept_indices():
     weights = init_weights(arch, seed=5)
     pruned = one_shot_prune(weights, arch, (0.5, 0.25, 0.25, 0.5, 0.5, 0.25))
     for unit in prunable_units(arch):
-        idx = {pruned.plan.kept_indices[lid] for lid in unit.layer_ids}
+        idx = {pruned.kept_indices[lid] for lid in unit.layer_ids}
         assert len(idx) == 1
     # pruned arch still validates as a residual graph
     assert len(prunable_units(pruned.arch)) == 6
@@ -106,7 +106,7 @@ def test_pruned_forward_matches_masked_dense():
     for recipe in [(0.5, 0.0, 0.25, 0.5, 0.3, 0.6), (0.2, 0.2, 0.2, 0.2, 0.2, 0.2)]:
         pruned = one_shot_prune(weights, arch, recipe)
         sliced, _ = forward(pruned.weights, pruned.arch, batch)
-        masked = masked_dense_logits(weights, arch, pruned.plan, batch)
+        masked = masked_dense_logits(weights, arch, pruned, batch)
         np.testing.assert_allclose(sliced, masked, rtol=1e-10, atol=1e-12)
 
 
@@ -117,9 +117,9 @@ def test_random_method_needs_and_uses_seed():
         one_shot_prune(weights, arch, (0.5, 0.5), method="random")
     a = one_shot_prune(weights, arch, (0.5, 0.5), method="random", seed=1)
     b = one_shot_prune(weights, arch, (0.5, 0.5), method="random", seed=1)
-    assert a.plan.kept_indices == b.plan.kept_indices
+    assert a.kept_indices == b.kept_indices
     picks = {
-        one_shot_prune(weights, arch, (0.5, 0.5), method="random", seed=s).plan.kept_indices[0]
+        one_shot_prune(weights, arch, (0.5, 0.5), method="random", seed=s).kept_indices[0]
         for s in range(12)
     }
     assert len(picks) > 1  # seed actually changes the selection

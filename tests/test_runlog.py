@@ -110,6 +110,16 @@ def test_diverged_trial_round_trip():
     assert back.diverged and math.isinf(back.accuracy_drop)
 
 
+def test_trial_lines_without_and_with_wall_time():
+    # schema 1 lines once carried an always-null "wall_time"; both shapes read
+    t = _trial(2)
+    doc = trial_to_json(t)
+    assert "wall_time" not in doc
+    line = canonical_json(doc)
+    legacy = line[:-1] + ',"wall_time":null}'
+    assert trial_from_json(json.loads(legacy)) == t == trial_from_json(json.loads(line))
+
+
 def test_trial_from_json_rejects_malformed():
     with pytest.raises(LogError):
         trial_from_json({"index": 0})
