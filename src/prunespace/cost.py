@@ -138,9 +138,11 @@ class CostTable:
         self.flops_coef = self.params_coef * self.out_h * self.out_w
         self.bias, self.affine = per_layer(lambda l: l.has_bias), per_layer(lambda l: l.has_affine)
         self.out_params = self.bias + 2 * self.affine
-        self.dense_flops, self.dense_params = map(sum, zip(*(layer_cost(l, l.c_in, l.c_out) for l in arch.layers)))
-        if max(self.dense_flops, self.dense_params) >= 2**53:
+        in_ch, out_ch = self.channels(self.unit_c_out)
+        # checked in float64 first: an int64 total past 2**63 would wrap, not raise
+        if max(self.totals(in_ch.astype(np.float64), out_ch.astype(np.float64))) >= 2**53:
             raise ValidationError(f"{arch.name}: dense cost exceeds 2**53, the exact float range")
+        self.dense_flops, self.dense_params = (int(v) for v in self.totals(in_ch, out_ch))
 
     def kept(self, ratios: np.ndarray) -> np.ndarray:
         """Kept channels per unit for rows of ratios: `kept_channels`, vectorized."""

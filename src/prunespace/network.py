@@ -6,10 +6,17 @@ a consumer with several producers sums their outputs first (residual add),
 and the classifier applies global average pooling before its fc transform.
 
 Conv weights are stored (c_in, c_out, k, k) and fc weights (c_in, c_out);
-filters are therefore columns w[:, j]. The forward pass gathers k x k input
-windows into a view and reduces them with one tensordot per layer, which keeps
-desk-scale training in large BLAS calls. Gradients are hand-derived
-reverse-mode over the same graph.
+filters are therefore columns w[:, j]. Activations are channels-last
+(B, h, w, c) from the moment `forward` receives the NCHW batch, which it
+transposes once, until `loss_and_grads` returns.
+
+Every conv kernel is k * k BLAS GEMMs, one per kernel offset (ki, kj), over
+the window of the zero-padded input that the offset reads, a stride-sliced
+(B, oh, ow, c_in) view:
+  forward  z  += window @ w[:, :, ki, kj]       (B * oh * ow, c_out)
+  dW       dw[:, :, ki, kj] = window.T @ dz     (c_in, c_out)
+  dX       window of dx_pad += dz @ w[:, :, ki, kj].T, a scatter-add
+Gradients are hand-derived reverse-mode over the same graph.
 """
 from __future__ import annotations
 
@@ -18,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arch import ArchitectureSpec
 from .dataset import Batch
@@ -99,21 +105,40 @@ def _as_inputs(batch) -> np.ndarray:
     return batch.inputs if isinstance(batch, Batch) else np.asarray(batch)
 
 
-def _conv_windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """(B, c_in, oh, ow, k, k) view of the padded input's sliding windows."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _window(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(B, oh, ow, c_in) view of the padded NHWC input that kernel offset (ki, kj) reads."""
+    return xp[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
+
+
+def _conv(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(B, oh, ow, c_out) cross-correlation of a padded NHWC input, one GEMM per kernel offset."""
+    b, c_in = xp.shape[0], xp.shape[3]
+    kernel = w.shape[2]
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, c_in, c_out)
+    parts = (
+        _window(xp, ki, kj, stride, oh, ow).reshape(-1, c_in) @ taps[ki, kj]
+        for ki in range(kernel)
+        for kj in range(kernel)
+    )
+    z = next(parts)
+    for part in parts:
+        z += part
+    return z.reshape(b, oh, ow, -1)
 
 
 def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.ndarray, dict]:
-    """(logits, cache). The cache carries every intermediate the backward pass needs."""
+    """(logits, cache) for an NCHW batch.
+
+    The cache carries every intermediate the backward pass needs, channels-last:
+    `outputs[lid]` and a conv's `z_pre`/`z_act` are (B, h, w, c), and `x_pad`
+    is the conv's zero-padded (B, h + 2p, w + 2p, c_in) input.
+    """
     x = _as_inputs(batch)
     if x.ndim != 4 or x.shape[1:] != arch.input_shape:
         raise ValidationError(f"inputs shaped {x.shape[1:]} do not match {arch.input_shape}")
     _check_weights(weights, arch)
-    cache: dict = {"outputs": {}, "layers": {}, "input": x}
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    cache: dict = {"outputs": {}, "layers": {}}
     outputs = cache["outputs"]
     logits = None
     for lid in arch.topo_order:
@@ -129,23 +154,23 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
                 x_in = x_in + outputs[p]
         t = weights.tensors[lid]
         if l.kind == "conv":
-            win = _conv_windows(x_in, l.kernel, l.stride, l.padding)
-            z = np.tensordot(win, t["w"], axes=((1, 4, 5), (0, 2, 3)))  # (B, oh, ow, c_out)
-            z = np.ascontiguousarray(z.transpose(0, 3, 1, 2))
+            pad = l.padding
+            xp = np.pad(x_in, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x_in
+            z = _conv(xp, t["w"], l.stride, l.out_h, l.out_w)
             if "b" in t:
-                z += t["b"][None, :, None, None]
+                z += t["b"]
             z_pre = z
             if "scale" in t:
-                z = z * t["scale"][None, :, None, None] + t["shift"][None, :, None, None]
+                z = z * t["scale"] + t["shift"]
             out = np.maximum(z, 0.0)
-            cache["layers"][lid] = {"win": win, "z_pre": z_pre, "z_act": z, "x_shape": x_in.shape}
+            cache["layers"][lid] = {"x_pad": xp, "z_pre": z_pre, "z_act": z, "x_shape": x_in.shape}
             outputs[lid] = out
         else:
-            feats = x_in.mean(axis=(2, 3))
+            feats = x_in.mean(axis=(1, 2))
             logits = feats @ t["w"]
             if "b" in t:
                 logits = logits + t["b"]
-            cache["layers"][lid] = {"feats": feats, "spatial": x_in.shape[2:]}
+            cache["layers"][lid] = {"feats": feats, "spatial": x_in.shape[1:3]}
             outputs[lid] = logits
     return outputs[arch.classifier_id], cache
 
@@ -192,19 +217,17 @@ def loss_and_grads(
             dfeats = dout @ t["w"].T
             h, w_sp = c["spatial"]
             dx = np.broadcast_to(
-                dfeats[:, :, None, None] / (h * w_sp), (dfeats.shape[0], dfeats.shape[1], h, w_sp)
+                dfeats[:, None, None, :] / (h * w_sp), (dfeats.shape[0], h, w_sp, dfeats.shape[1])
             )
         else:
             dz = dout * (c["z_act"] > 0)
             if "scale" in t:
-                g["scale"] = (dz * c["z_pre"]).sum(axis=(0, 2, 3))
-                g["shift"] = dz.sum(axis=(0, 2, 3))
-                dz = dz * t["scale"][None, :, None, None]
+                g["scale"] = _channel_sum(dz * c["z_pre"])
+                g["shift"] = _channel_sum(dz)
+                dz = dz * t["scale"]
             if "b" in t:
-                g["b"] = dz.sum(axis=(0, 2, 3))
-            win = c["win"]
-            dw = np.tensordot(win, dz, axes=((0, 2, 3), (0, 2, 3)))  # (c_in, k, k, c_out)
-            g["w"] = np.ascontiguousarray(dw.transpose(0, 3, 1, 2))
+                g["b"] = _channel_sum(dz)
+            g["w"] = _conv_weight_grad(c["x_pad"], dz, l.kernel, l.stride)
             dx = None
             if arch.producers[lid]:
                 dx = _conv_input_grad(dz, t["w"], c["x_shape"], l.kernel, l.stride, l.padding)
@@ -218,22 +241,43 @@ def loss_and_grads(
     return loss, grads
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """(c,) sum of a (B, h, w, c) array over all but the channel axis.
+
+    Sums rows of w * c first, then the w channel vectors: numpy reduces long
+    contiguous rows several times faster than rows only c wide.
+    """
+    b, h, w, c = a.shape
+    return a.reshape(b * h, w * c).sum(axis=0).reshape(w, c).sum(axis=0)
+
+
+def _conv_weight_grad(xp: np.ndarray, dz: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """(c_in, c_out, k, k) weight gradient: window.T @ dz for each kernel offset."""
+    b, oh, ow, c_out = dz.shape
+    c_in = xp.shape[3]
+    dz2 = dz.reshape(-1, c_out)
+    dw = np.empty((c_in, c_out, kernel, kernel), dtype=dz.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            dw[:, :, ki, kj] = _window(xp, ki, kj, stride, oh, ow).reshape(-1, c_in).T @ dz2
+    return dw
+
+
 def _conv_input_grad(
     dz: np.ndarray, w: np.ndarray, x_shape: tuple, kernel: int, stride: int, padding: int
 ) -> np.ndarray:
-    b, c_in, h, w_sp = x_shape
-    hp, wp = h + 2 * padding, w_sp + 2 * padding
-    oh, ow = dz.shape[2], dz.shape[3]
-    # (B, oh, ow, c_in, k, k) contributions, scattered back to input positions
-    dcols = np.tensordot(dz, w, axes=(1, 1))
-    dxp = np.zeros((b, c_in, hp, wp), dtype=dz.dtype)
+    """(B, h, w, c_in) input gradient: dz @ w.T for each kernel offset, scattered
+    back onto the window of the padded input that the offset read."""
+    b, h, w_sp, c_in = x_shape
+    _, oh, ow, c_out = dz.shape
+    dz2 = dz.reshape(-1, c_out)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, c_in, c_out)
+    dxp = np.zeros((b, h + 2 * padding, w_sp + 2 * padding, c_in), dtype=dz.dtype)
     for ki in range(kernel):
         for kj in range(kernel):
-            dxp[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
-                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-            )
+            _window(dxp, ki, kj, stride, oh, ow)[...] += (dz2 @ taps[ki, kj].T).reshape(b, oh, ow, c_in)
     if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w_sp]
+        return dxp[:, padding : padding + h, padding : padding + w_sp]
     return dxp
 
 

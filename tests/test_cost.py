@@ -231,3 +231,22 @@ def test_network_cost_rejects_bad_plans():
     kept[2] -= 1  # layers 0, 2 and 4 are one coupling group
     with pytest.raises(ValidationError, match="match its coupling group"):
         network_cost(arch, SubnetworkPlan(kept))
+
+
+@pytest.mark.parametrize("side,c_out", [(2**14, 2**26), (2**22, 2**20)])
+def test_dense_cost_past_exact_float_range_raises(side, c_out):
+    # 2**54 MACs, and 2**64, which an int64 sum would wrap to a small total
+    doc = {
+        "name": "huge",
+        "input": [1, side, side],
+        "layers": [
+            {"id": 0, "kind": "conv", "c_in": 1, "c_out": c_out, "k": 1, "stride": 1,
+             "pad": 0, "bias": False, "prunable": True},
+            {"id": 1, "kind": "fc", "c_in": c_out, "c_out": 2, "k": 0, "stride": 1,
+             "pad": 0, "bias": True, "prunable": False},
+        ],
+        "edges": [[0, 1]],
+        "classifier": 1,
+    }
+    with pytest.raises(ValidationError, match="exceeds 2\\*\\*53"):
+        network_cost(load_arch(doc))

@@ -32,7 +32,9 @@ def _conv_chain(c_in, c_out, k, stride, pad, h, w, bias=True):
     return load_arch(doc)
 
 
-@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0), (5, 1, 2)])
+@pytest.mark.parametrize(
+    "k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0), (5, 1, 2)]
+)
 def test_conv_matches_naive(k, stride, pad):
     arch = _conv_chain(2, 4, k, stride, pad, h=9, w=7)
     weights = init_weights(arch, seed=0, dtype=np.float64)
@@ -41,7 +43,7 @@ def test_conv_matches_naive(k, stride, pad):
     _, cache = forward(weights, arch, x)
     t = weights.tensors[0]
     want = conv2d_naive(x, t["w"], stride, pad) + t["b"][None, :, None, None]
-    got = cache["layers"][0]["z_pre"]
+    got = cache["layers"][0]["z_pre"].transpose(0, 3, 1, 2)  # cache is channels-last
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -66,16 +68,37 @@ def _residual_arch():
     return load_arch(doc)
 
 
+def _shortcut_arch():
+    """3x3 conv feeding a 1x1 stride-2 pad-0 conv, resnet-tiny's projection
+    shortcut, on an odd-sized input so the stride skips the last row."""
+    doc = {
+        "name": "shortcut",
+        "input": [2, 7, 6],
+        "layers": [
+            {"id": 0, "kind": "conv", "c_in": 2, "c_out": 3, "k": 3, "stride": 1,
+             "pad": 1, "bias": True, "prunable": True},
+            {"id": 1, "kind": "conv", "c_in": 3, "c_out": 4, "k": 1, "stride": 2,
+             "pad": 0, "bias": True, "prunable": True},
+            {"id": 2, "kind": "fc", "c_in": 4, "c_out": 3, "k": 0, "stride": 1,
+             "pad": 0, "bias": True, "prunable": False},
+        ],
+        "edges": [[0, 1], [1, 2]],
+        "classifier": 2,
+    }
+    return load_arch(doc)
+
+
 def test_residual_sum_feeds_consumer():
     arch = _residual_arch()
     weights = init_weights(arch, seed=2, dtype=np.float64)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 2, 6, 6))
     _, cache = forward(weights, arch, x)
-    summed = cache["outputs"][0] + cache["outputs"][1]
+    summed = (cache["outputs"][0] + cache["outputs"][1]).transpose(0, 3, 1, 2)
     t = weights.tensors[2]
     want = conv2d_naive(summed, t["w"], 2, 1) + t["b"][None, :, None, None]
-    np.testing.assert_allclose(cache["layers"][2]["z_pre"], want, rtol=1e-12, atol=1e-12)
+    got = cache["layers"][2]["z_pre"].transpose(0, 3, 1, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_classifier_pools_globally():
@@ -84,7 +107,7 @@ def test_classifier_pools_globally():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3, 8, 8))
     logits, cache = forward(weights, arch, x)
-    feats = cache["outputs"][1].mean(axis=(2, 3))
+    feats = cache["outputs"][1].mean(axis=(1, 2))  # cache is channels-last
     t = weights.tensors[2]
     np.testing.assert_allclose(logits, feats @ t["w"] + t["b"], rtol=1e-12)
     assert logits.shape == (5, 10)
@@ -152,6 +175,25 @@ def test_gradients_match_finite_differences(arch_factory):
             n = numeric[lid][role]
             denom = max(float(np.linalg.norm(n)), 1e-12)
             rel = float(np.linalg.norm(g - n)) / denom
+            assert rel < 1e-7, (lid, role, rel)
+
+
+def test_shortcut_gradients_match_finite_differences():
+    arch = _shortcut_arch()
+    weights = init_weights(arch, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    # A 1x1 conv over 3 ReLU channels often reads all zeros, so with zero
+    # biases its pre-activation sits exactly on the ReLU kink, where central
+    # differences see half a slope; nonzero biases move it off the kink.
+    for t in weights.tensors.values():
+        t["b"][:] = rng.normal(size=t["b"].shape)
+    batch = Batch(rng.normal(size=(4, *arch.input_shape)), rng.integers(0, 3, size=4))
+    _, grads = loss_and_grads(weights, arch, batch)
+    numeric = finite_diff_grads(weights, arch, batch, _loss_only, eps=1e-6)
+    for lid in grads:
+        for role, g in grads[lid].items():
+            n = numeric[lid][role]
+            rel = float(np.linalg.norm(g - n)) / max(float(np.linalg.norm(n)), 1e-12)
             assert rel < 1e-7, (lid, role, rel)
 
 

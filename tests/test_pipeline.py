@@ -20,6 +20,7 @@ from prunespace import (
     finetune_schedule,
     network_cost,
     full_preset,
+    init_weights,
     pipeline_config_from_json,
     resolve_arch,
     resolve_plan,
@@ -28,6 +29,7 @@ from prunespace import (
     sample_population,
     screen_candidates,
     scratch_schedule,
+    train,
     train_dense_baseline,
 )
 from prunespace import pipeline
@@ -242,6 +244,31 @@ def test_pool_workers_run_one_blas_thread():
         counts = [f.result(timeout=60) for f in [pool.submit(blas_threads) for _ in range(4)]]
     assert counts == [1, 1, 1, 1]
     assert blas_threads() == before
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    # Pool workers train at one BLAS thread and the serial parent at its
+    # default, so pooled and serial runs match only if the kernels' GEMMs give
+    # the same bytes at any thread count.
+    api = pipeline._openblas_threads_api()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
+    set_threads, get_threads = api
+    arch = builtin_arch("resnet-tiny")
+    data = DatasetSpec(seed=0, per_class=20).build()
+    start = init_weights(arch, seed=1)
+    before = get_threads()
+    trained = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            assert get_threads() == threads
+            trained.append(train(start, arch, data, scratch_schedule(2), seed=2).weights)
+    finally:
+        set_threads(before)
+    assert get_threads() == before
+    for (lid, role, a), (_, _, b) in zip(trained[0].items(), trained[1].items()):
+        assert a.tobytes() == b.tobytes(), (lid, role)
 
 
 def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
