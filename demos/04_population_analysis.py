@@ -23,8 +23,7 @@ from prunespace import (
     top_k_winners,
     winner_mcb_by_regime,
 )
-from prunespace.pipeline import PipelineConfig, screen_candidates, train_dense_baseline
-from prunespace.runlog import TrialLog
+from prunespace.pipeline import PipelineConfig, RunDir, screen_candidates, train_dense_baseline
 
 OUT = Path("runs") / "population"
 N = 24
@@ -45,16 +44,15 @@ def config_for(std_cap):
 
 
 def main():
-    OUT.mkdir(parents=True, exist_ok=True)
     loose = config_for(std_cap=None)
     baseline = train_dense_baseline(loose)
     print(f"dense accuracy {baseline.accuracy:.1%}; screening {N} candidates per space\n")
 
     trials = {}
     for label, config in (("std-free", loose), ("std-0.02", config_for(std_cap=0.02))):
-        log = TrialLog(OUT / f"{label}.jsonl", config=config.to_json())
-        trials[label] = screen_candidates(config, baseline, log)
-        print(f"{label}: screened to {OUT / (label + '.jsonl')}")
+        run = RunDir(OUT / label, config)
+        trials[label] = screen_candidates(config, baseline, run)
+        print(f"{label}: screened to {run.trials.path}")
     print()
 
     population = trials["std-free"]

@@ -7,10 +7,11 @@ The top-k candidates by screening drop are re-pruned from the same dense
 checkpoint and retrained with the full schedule; the winner is the finalist
 with the smallest full-schedule drop.
 
-The dense baseline is derived once per run as a `DenseBaseline` (resolved
-architecture, dataset, weights, validation accuracy) and passed to both later
-phases. A fresh run reads the accuracy off the dense training trace; a resumed
-run evaluates the reloaded checkpoint once.
+A run's files are owned by one `RunDir`. Its dense baseline is derived once,
+as a `DenseBaseline` (resolved architecture, dataset, weights, validation
+accuracy), and only when some phase has work left; both later phases read it.
+A fresh run reads the accuracy off the dense training trace; a resumed run
+evaluates the reloaded checkpoint once.
 
 Every phase is a pure function of (config, master seed): each random stream is
 keyed by `derive_seed` from the master seed and a per-phase tag, so
@@ -23,8 +24,9 @@ emit identical logs, reports and checkpoints. Each worker caps numpy's
 OpenBLAS to one thread, so the workers do not oversubscribe the cores; the
 parent keeps its own setting. Where OpenBLAS exports no thread-count call, the
 workers keep the library's default and one warning is logged. Wall-clock
-timings are observations, not outputs: they go to a separate plain-text
-sidecar that is excluded from all determinism guarantees.
+timings are observations, not outputs: each is appended to the plain-text
+sidecar `timings.txt` (`phase<TAB>index<TAB>seconds`) as soon as it is
+measured, and the sidecar is excluded from all determinism guarantees.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -59,6 +61,7 @@ from .runlog import (
     summary_csv,
     trial_to_json,
     winners_csv,
+    write_atomic,
 )
 from .sampling import SpaceSpec, derive_seed, recipe_std, sample_population, space_from_json
 from .training import ScheduleSpec, finetune_schedule, schedule_from_json, scratch_schedule, train
@@ -122,24 +125,12 @@ class PipelineConfig:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
 
     def to_json(self) -> dict:
-        return {
-            "arch": self.arch,
-            "dataset": self.dataset.to_json(),
-            "space": self.space.to_json(),
-            "n": self.n,
-            "top_k": self.top_k,
-            "short_schedule": self.short_schedule.to_json(),
-            "full_schedule": self.full_schedule.to_json(),
-            "dense_schedule": self.dense_schedule.to_json(),
-            "seed": self.seed,
-            "method": self.method,
-        }
+        # keys in field order; the dataset, space and schedules render themselves
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in doc.items()}
 
 
-_CONFIG_FIELDS = {
-    "arch", "dataset", "space", "n", "top_k",
-    "short_schedule", "full_schedule", "dense_schedule", "seed", "method",
-}
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
 _CONFIG_REQUIRED = {"arch", "space", "n", "top_k", "short_schedule", "full_schedule"}
 
 
@@ -172,34 +163,29 @@ def pipeline_config_from_json(doc: Mapping) -> PipelineConfig:
     )
 
 
-def desk_preset(arch: str = "resnet-tiny", seed: int = 0) -> PipelineConfig:
-    """Minutes-scale defaults: n=30 candidates, 2-epoch screening, top-3, 20-epoch retrain."""
+def _preset(arch: str, seed: int, n: int, top_k: int, screen_epochs: int, epochs: int) -> PipelineConfig:
+    """The presets' search: half the FLOPs, mcb band (1.0, 0.1); `epochs` for dense and finalists."""
     return PipelineConfig(
         arch=arch,
         dataset=DatasetSpec(),
         space=SpaceSpec(target_cflops=0.5, mcb_band=(1.0, 0.1)),
-        n=30,
-        top_k=3,
-        short_schedule=finetune_schedule(2),
-        full_schedule=finetune_schedule(20),
-        dense_schedule=scratch_schedule(20, lr0=0.01),
+        n=n,
+        top_k=top_k,
+        short_schedule=finetune_schedule(screen_epochs),
+        full_schedule=finetune_schedule(epochs),
+        dense_schedule=scratch_schedule(epochs, lr0=0.01),
         seed=seed,
     )
+
+
+def desk_preset(arch: str = "resnet-tiny", seed: int = 0) -> PipelineConfig:
+    """Minutes-scale defaults: n=30 candidates, 2-epoch screening, top-3, 20-epoch retrain."""
+    return _preset(arch, seed, n=30, top_k=3, screen_epochs=2, epochs=20)
 
 
 def full_preset(arch: str = "resnet-tiny", seed: int = 0) -> PipelineConfig:
     """Full-scale counts: n=300 candidates, 5-epoch screening, top-5, 100-epoch retrain."""
-    return PipelineConfig(
-        arch=arch,
-        dataset=DatasetSpec(),
-        space=SpaceSpec(target_cflops=0.5, mcb_band=(1.0, 0.1)),
-        n=300,
-        top_k=5,
-        short_schedule=finetune_schedule(5),
-        full_schedule=finetune_schedule(100),
-        dense_schedule=scratch_schedule(100, lr0=0.01),
-        seed=seed,
-    )
+    return _preset(arch, seed, n=300, top_k=5, screen_epochs=5, epochs=100)
 
 
 # -- phases ---------------------------------------------------------------------
@@ -389,37 +375,24 @@ def worker_count(pending: int) -> int:
 
 
 def screen_candidates(
-    config: PipelineConfig,
-    baseline: DenseBaseline,
-    trial_log: TrialLog | None = None,
-    timing_sink: Callable[[str], None] | None = None,
+    config: PipelineConfig, baseline: DenseBaseline, run: RunDir | None = None
 ) -> list[TrialRecord]:
     """Prune, short-train, and log every sampled candidate, in index order.
 
-    Resumes past any records already in the trial log, so an interrupted run
-    picks up at the first missing index and converges to the same final set;
-    the population is sampled only when some index is still missing.
+    With a `run`, resumes past the records already in its trial log, so an
+    interrupted run picks up at the first missing index and converges to the
+    same final set; the population is sampled only when some index is still
+    missing. Each candidate is logged, and its seconds observed, as it finishes.
     """
-    records: list[TrialRecord] = list(trial_log.records()) if trial_log is not None else []
-    for position, rec in enumerate(records):
-        if rec.index != position:
-            raise ValidationError(
-                f"trial log is not a contiguous prefix: position {position} holds index {rec.index}"
-            )
-    if len(records) > config.n:
-        raise ValidationError(
-            f"trial log already has {len(records)} records but the population is {config.n}"
-        )
+    records = run.logged_trials() if run is not None else []
     if len(records) == config.n:
         return records
-
     recipes = sample_population(baseline.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
     tasks = [(i, recipes[i].ratios) for i in range(len(records), config.n)]
     for record, _, seconds in _map_candidates(config, baseline, False, tasks):
-        if trial_log is not None:
-            trial_log.append(record)
-        if timing_sink is not None:
-            timing_sink(f"screen\t{record.index}\t{seconds:.3f}")
+        if run is not None:
+            run.trials.append(record)
+            run.observe("screen", record.index, seconds)
         records.append(record)
     return records
 
@@ -445,48 +418,36 @@ def retrain_top_k(
     config: PipelineConfig,
     trials: Sequence[TrialRecord],
     baseline: DenseBaseline,
-    save_dir: str | Path | None = None,
-    timing_sink: Callable[[str], None] | None = None,
+    run: RunDir | None = None,
 ) -> PipelineResult:
     """Re-prune the screened top-k from the dense checkpoint and fully retrain.
 
     Screening weights are deliberately discarded: finalists restart from the
-    dense checkpoint so the two phases stay independent.
+    dense checkpoint so the two phases stay independent. With a `run`, each
+    finalist's weights are saved to it as `finalist_<index>.ckpt`.
     """
     if len(trials) < config.top_k:
         raise ValidationError(f"need at least top_k={config.top_k} trials, got {len(trials)}")
-    shortlist = top_k_winners(trials, config.top_k)
-    tasks = [(c.index, c.recipe) for c in shortlist]
+    tasks = [(c.index, c.recipe) for c in top_k_winners(trials, config.top_k)]
     finalists: list[TrialRecord] = []
     for rank, (record, weights, seconds) in enumerate(_map_candidates(config, baseline, True, tasks)):
         finalists.append(record)
-        if timing_sink is not None:
-            timing_sink(f"full\t{record.index}\t{seconds:.3f}")
-        if save_dir is not None and weights is not None:
-            save_checkpoint(
-                Path(save_dir) / f"finalist_{record.index}.ckpt",
-                weights,
-                meta={"index": record.index, "rank": rank, "drop": record.accuracy_drop},
-            )
+        if run is not None:
+            run.observe("full", record.index, seconds)
+        if run is not None and weights is not None:
+            meta = {"index": record.index, "rank": rank, "drop": record.accuracy_drop}
+            save_checkpoint(run.path / f"finalist_{record.index}.ckpt", weights, meta=meta)
         log.info(
             "finalist %d (screen rank %d): full-schedule drop %s",
             record.index, rank, "diverged" if record.diverged else f"{record.accuracy_drop:.3f}",
         )
     winner = top_k_winners(finalists, 1)[0]
-    return PipelineResult(
-        config=config,
-        dense_accuracy=baseline.accuracy,
-        trials=tuple(trials),
-        finalists=tuple(finalists),
-        winner=winner,
-    )
+    return PipelineResult(config, baseline.accuracy, tuple(trials), tuple(finalists), winner)
 
 
 def write_reports(out_dir: str | Path, trials: Sequence[TrialRecord], top_k: int) -> list[Path]:
     """Standard CSV bundle for a trial population; returns the paths written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
     summary = distribution_summary(trials, "accuracy_drop")
     payload = {
         "edf.csv": edf_csv(edf(trials)),
@@ -495,82 +456,95 @@ def write_reports(out_dir: str | Path, trials: Sequence[TrialRecord], top_k: int
         "winners.csv": winners_csv(top_k_winners(trials, min(top_k, len(trials)))),
     }
     for name, text in payload.items():
-        path = out / name
-        path.write_text(text)
-        paths.append(path)
-    return paths
+        write_atomic(out / name, text)
+    return [out / name for name in payload]
 
 
-def _claim_run_dir(out: Path, config_doc: Mapping) -> None:
-    """Write config.json, refusing a directory already claimed by a different config."""
-    rendered = canonical_json(config_doc) + "\n"
-    path = out / "config.json"
-    if path.exists() and path.read_text() != rendered:
-        raise ValidationError(
-            f"{out} already holds a run with a different config; "
-            "use a fresh output directory, or delete this one to start over"
-        )
-    path.write_text(rendered)
+# -- run directory ------------------------------------------------------------------
 
 
-def _dense_checkpoint(
-    config: PipelineConfig,
-    out: Path,
-    data: tuple[Batch, Batch],
-    timing_sink: Callable[[str], None],
-) -> DenseBaseline:
-    """The run's baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
-    path = out / "dense.ckpt"
-    if path.exists():
-        arch = resolve_arch(config.arch)
-        weights, _ = load_checkpoint(path)
-        if weights.arch_name != arch.name:
+class RunDir:
+    """One run's directory: its claim, trial log, dense baseline and timings.
+
+    Opening writes `config.json`, or refuses a directory whose `config.json`
+    names another config, before touching anything else. `baseline` is derived
+    on first use. Whole files are written with `write_atomic`; the trial log
+    (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by a line as
+    each result comes in.
+    """
+
+    def __init__(self, path: str | Path, config: PipelineConfig):
+        self.path, self.config = Path(path), config
+        config_doc = config.to_json()
+        rendered = canonical_json(config_doc) + "\n"
+        claim = self.path / "config.json"
+        if not claim.exists():
+            write_atomic(claim, rendered)
+        elif claim.read_text() != rendered:
             raise ValidationError(
-                f"{path} holds weights for {weights.arch_name!r}, config wants {arch.name!r}"
+                f"{self.path} already holds a run with a different config; "
+                "use a fresh output directory, or delete this one to start over"
             )
-        log.info("reusing dense baseline from %s", path)
-        return DenseBaseline(arch, data, weights, evaluate(weights, arch, data[1]))
-    started = time.perf_counter()
-    baseline = train_dense_baseline(config, data)
-    timing_sink(f"dense\t-\t{time.perf_counter() - started:.3f}")
-    save_checkpoint(path, baseline.weights, meta={"val_accuracy": baseline.accuracy})
-    log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
-    return baseline
+        self.trials = TrialLog(self.path / "trials.jsonl", config=config_doc)
+
+    def logged_trials(self) -> list[TrialRecord]:
+        """The trial log's records, checked to be indices 0, 1, ... of the population."""
+        records = self.trials.records()
+        if [r.index for r in records] != list(range(len(records))) or len(records) > self.config.n:
+            raise ValidationError(
+                f"{self.trials.path} is not a contiguous prefix of a population of "
+                f"{self.config.n}: it holds indices {[r.index for r in records]}"
+            )
+        return records
+
+    def observe(self, phase: str, index: int | str, seconds: float) -> None:
+        """Append one `phase<TAB>index<TAB>seconds` line to the timings sidecar."""
+        with open(self.path / "timings.txt", "a") as f:
+            f.write(f"{phase}\t{index}\t{seconds:.3f}\n")
+
+    @functools.cached_property
+    def baseline(self) -> DenseBaseline:
+        """The dense baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
+        config, path = self.config, self.path / "dense.ckpt"
+        data = config.dataset.build()
+        if path.exists():
+            arch = resolve_arch(config.arch)
+            weights, _ = load_checkpoint(path)
+            if weights.arch_name != arch.name:
+                raise ValidationError(
+                    f"{path} holds weights for {weights.arch_name!r}, config wants {arch.name!r}"
+                )
+            log.info("reusing dense baseline from %s", path)
+            return DenseBaseline(arch, data, weights, evaluate(weights, arch, data[1]))
+        started = time.perf_counter()
+        baseline = train_dense_baseline(config, data)
+        self.observe("dense", "-", time.perf_counter() - started)
+        save_checkpoint(path, baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
+        return baseline
 
 
-def _screen_run(
-    config: PipelineConfig, out: Path, timings: list[str]
-) -> tuple[DenseBaseline, list[TrialRecord]]:
-    """Claim `out`, get the baseline, screen the population and write its reports."""
-    out.mkdir(parents=True, exist_ok=True)
-    config_doc = config.to_json()
-    _claim_run_dir(out, config_doc)
-    baseline = _dense_checkpoint(config, out, config.dataset.build(), timings.append)
-    trial_log = TrialLog(out / "trials.jsonl", config=config_doc)
-    trials = screen_candidates(config, baseline, trial_log, timings.append)
-    write_reports(out, trials, config.top_k)
-    return baseline, trials
+def _screen(run: RunDir) -> list[TrialRecord]:
+    """Screen what the run's log lacks, deriving the baseline only then; write the reports."""
+    trials = run.logged_trials()
+    if len(trials) < run.config.n:
+        trials = screen_candidates(run.config, run.baseline, run)
+    write_reports(run.path, trials, run.config.top_k)
+    return trials
 
 
 def explore_space(config: PipelineConfig, out_dir: str | Path) -> list[TrialRecord]:
     """Population screening without winner retraining: trial log plus report CSVs."""
-    out, timings = Path(out_dir), []
-    _, trials = _screen_run(config, out, timings)
-    with open(out / "timings.txt", "a") as f:
-        f.writelines(line + "\n" for line in timings)
-    return trials
+    return _screen(RunDir(out_dir, config))
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """All three phases; resumable; byte-identical artifacts on rerun."""
-    out, timings = Path(out_dir), []
-    baseline, trials = _screen_run(config, out, timings)
-    result = retrain_top_k(config, trials, baseline, save_dir=out, timing_sink=timings.append)
+    run = RunDir(out_dir, config)
+    result = retrain_top_k(config, _screen(run), run.baseline, run)
     winners = result.to_json()
     del winners["config"]  # config.json already holds it
-    (out / "winners.json").write_text(canonical_json(winners) + "\n")
-    with open(out / "timings.txt", "a") as f:
-        f.writelines(line + "\n" for line in timings)
+    write_atomic(run.path / "winners.json", canonical_json(winners) + "\n")
     log.info(
         "winner: candidate %d, drop %s",
         result.winner.index,

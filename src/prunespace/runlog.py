@@ -6,14 +6,18 @@ re-parsed bit-for-bit. Trial logs are append-only JSONL with a header line
 carrying the schema version and a hash of the generating config; indices must
 increase strictly. Checkpoints use a small self-describing binary container
 (JSON header plus raw little-endian tensor bytes) with no timestamps.
+Whole files are written through `write_atomic`, so none is ever left half
+written by a killed process.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import os
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from .cost import CostReport
 from .errors import LogError, ValidationError
 from .network import NetworkWeights
 
+
+log = logging.getLogger("prunespace")
 
 SCHEMA_VERSION = 1
 _CKPT_MAGIC = b"PSCKPT1\n"
@@ -87,6 +93,23 @@ def config_hash(config: Mapping) -> str:
     return hashlib.sha256(canonical_json(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace `path` with `data` in one rename, so a reader sees all of it or none.
+
+    The bytes go to the fixed sibling `.<name>.tmp` first, which `os.replace`
+    then moves onto `path`. A process killed midway leaves `path` as it was
+    (or absent) plus at most that temp file, which the next write of `path`
+    reuses. Nothing is fsynced: the guarantee covers a killed process, not a
+    power loss, after which `path` may still read empty or short.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "wb") as f:
+        f.write(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
 # -- trial records ------------------------------------------------------------
 
 
@@ -133,12 +156,21 @@ def trial_from_json(doc: Mapping) -> TrialRecord:
 
 
 class TrialLog:
-    """Append-only JSONL trial log bound to one config hash."""
+    """Append-only JSONL trial log bound to one config hash.
+
+    Opening a log cuts the bytes after its last newline, left by a kill
+    mid-append, with a warning; corruption anywhere else is refused.
+    """
 
     def __init__(self, path: str | Path, config: Mapping | None = None):
         self.path = Path(path)
         self._last_index = -1
-        if self.path.exists() and self.path.stat().st_size > 0:
+        data = self.path.read_bytes() if self.path.exists() else b""
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            log.warning("%s: cutting %d bytes of a torn final line", self.path, len(data) - keep)
+            os.truncate(self.path, keep)
+        if keep > 0:
             header, records = read_trials(self.path)
             self.header = header
             if config is not None and header["config_hash"] != config_hash(config):
@@ -152,9 +184,7 @@ class TrialLog:
             if config is None:
                 raise ValidationError("a new trial log needs the generating config")
             self.header = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash(config)}
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w") as f:
-                f.write(canonical_json(self.header) + "\n")
+            write_atomic(self.path, canonical_json(self.header) + "\n")
 
     def append(self, record: TrialRecord) -> None:
         if record.index <= self._last_index:
@@ -238,14 +268,7 @@ def save_checkpoint(
         "meta": dict(meta) if meta else {},
         "entries": entries,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(canonical_json(header).encode())
-        f.write(b"\n")
-        for raw in blobs:
-            f.write(raw)
+    write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(header).encode(), b"\n", *blobs]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, dict]:

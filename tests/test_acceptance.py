@@ -45,12 +45,12 @@ from prunespace import (
 from prunespace.cli import main as cli_main
 from prunespace.pipeline import (
     PipelineConfig,
+    RunDir,
     desk_preset,
     run_pipeline,
     screen_candidates,
     train_dense_baseline,
 )
-from prunespace.runlog import TrialLog
 
 from .oracles import edf_value, enumerate_network_cost, finite_diff_grads
 
@@ -344,8 +344,8 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
             dense_schedule=scratch_schedule(20, lr0=0.01),
             seed=0,
         )
-        log = TrialLog(tmp_path / f"{label}.jsonl", config=config.to_json())
-        trials_by_space[label] = screen_candidates(config, baseline, log)
+        run = RunDir(tmp_path / label, config)
+        trials_by_space[label] = screen_candidates(config, baseline, run)
     assert all(len(t) == 50 for t in trials_by_space.values())
 
     report = compare_spaces(trials_by_space)

@@ -1,6 +1,8 @@
+import fnmatch
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from prunespace import (
     DatasetSpec,
     PipelineConfig,
+    RunDir,
     SchemaError,
     SpaceSpec,
-    TrialLog,
     ValidationError,
     arch_to_json,
     builtin_arch,
@@ -170,21 +172,20 @@ def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
     config = _mini_config()
     baseline = train_dense_baseline(config)
 
-    full_path = tmp_path / "full.jsonl"
-    full_log = TrialLog(full_path, config.to_json())
-    screen_candidates(config, baseline, full_log)
+    full_path = tmp_path / "full" / "trials.jsonl"
+    screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
 
     # keep the header and first two records, then resume
     lines = full_path.read_text().splitlines()
-    part_path = tmp_path / "part.jsonl"
+    part_path = tmp_path / "part" / "trials.jsonl"
+    part_path.parent.mkdir()
     part_path.write_text("\n".join(lines[:3]) + "\n")
-    part_log = TrialLog(part_path, config.to_json())
-    resumed = screen_candidates(config, baseline, part_log)
+    resumed = screen_candidates(config, baseline, RunDir(tmp_path / "part", config))
     assert part_path.read_bytes() == full_path.read_bytes()
     assert [r.index for r in resumed] == list(range(config.n))
 
     # a complete log short-circuits to the stored records
-    again = screen_candidates(config, baseline, TrialLog(full_path, config.to_json()))
+    again = screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
     assert again == resumed
     assert full_path.read_bytes() == part_path.read_bytes()
 
@@ -193,30 +194,34 @@ def test_screen_rejects_gapped_log(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config(n=4)
     baseline = train_dense_baseline(config)
-    log_path = tmp_path / "gap.jsonl"
-    gap_log = TrialLog(log_path, config.to_json())
-    full_log = TrialLog(tmp_path / "full.jsonl", config.to_json())
-    records = screen_candidates(config, baseline, full_log)
+    gap_log = RunDir(tmp_path / "gap", config).trials
+    records = screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
     gap_log.append(records[0])
     gap_log.append(records[2])
     with pytest.raises(ValidationError):
-        screen_candidates(config, baseline, TrialLog(log_path, config.to_json()))
+        screen_candidates(config, baseline, RunDir(tmp_path / "gap", config))
     small = _mini_config(n=2, top_k=1)
     with pytest.raises(ValidationError):
-        screen_candidates(small, baseline, TrialLog(tmp_path / "full.jsonl", small.to_json()))
+        screen_candidates(small, baseline, RunDir(tmp_path / "full", small))
+    # a log holding more records than the population is refused too
+    long_log = RunDir(tmp_path / "long", small).trials
+    for record in records[:3]:
+        long_log.append(record)
+    with pytest.raises(ValidationError, match="contiguous prefix"):
+        screen_candidates(small, baseline, RunDir(tmp_path / "long", small))
 
 
 def test_parallel_matches_serial(tmp_path, monkeypatch):
     config = _mini_config()
     baseline = train_dense_baseline(config)
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
-    serial_log = TrialLog(tmp_path / "serial.jsonl", config.to_json())
-    serial = screen_candidates(config, baseline, serial_log)
+    serial = screen_candidates(config, baseline, RunDir(tmp_path / "serial", config))
     monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
-    parallel_log = TrialLog(tmp_path / "parallel.jsonl", config.to_json())
-    parallel = screen_candidates(config, baseline, parallel_log)
+    parallel = screen_candidates(config, baseline, RunDir(tmp_path / "parallel", config))
     assert serial == parallel
-    assert (tmp_path / "serial.jsonl").read_bytes() == (tmp_path / "parallel.jsonl").read_bytes()
+    assert (tmp_path / "serial" / "trials.jsonl").read_bytes() == (
+        tmp_path / "parallel" / "trials.jsonl"
+    ).read_bytes()
 
 
 def test_pooled_pipeline_matches_serial(tmp_path, monkeypatch):
@@ -289,7 +294,7 @@ def test_retrain_top_k(tmp_path, monkeypatch):
     config = _mini_config()
     baseline = train_dense_baseline(config)
     trials = screen_candidates(config, baseline)
-    result = retrain_top_k(config, trials, baseline, save_dir=tmp_path)
+    result = retrain_top_k(config, trials, baseline, RunDir(tmp_path, config))
     assert len(result.finalists) == config.top_k
     for f in result.finalists:
         assert f.schedule_kind == "finetune" and f.epochs == 2
@@ -389,6 +394,123 @@ def test_dense_baseline_derived_once_per_run(tmp_path, monkeypatch):
     assert again.dense_accuracy == first.dense_accuracy
     after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.txt"}
     assert after == before
+
+
+def _artifacts(out):
+    """Every file of a run directory but the wall-clock sidecar, by name."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "timings.txt"}
+
+
+def test_explore_rerun_derives_no_baseline(tmp_path, monkeypatch):
+    # a finished directory has nothing left to screen, so a rerun of explore
+    # neither builds the dataset nor loads or evaluates the dense network
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    calls = {"evaluate": 0, "load_checkpoint": 0, "build": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    config = _mini_config()
+    out = tmp_path / "run"
+    first = explore_space(config, out)
+    before = _artifacts(out)
+    counting(pipeline, "evaluate")
+    counting(pipeline, "load_checkpoint")
+    counting(DatasetSpec, "build")
+    again = explore_space(config, out)
+    assert calls == {"evaluate": 0, "load_checkpoint": 0, "build": 0}
+    assert again == first
+    assert _artifacts(out) == before
+
+
+def test_explore_resumes_past_torn_final_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    config = _mini_config()
+    explore_space(config, tmp_path / "whole")
+    whole = _artifacts(tmp_path / "whole")
+    log_bytes = whole["trials.jsonl"]
+    last_line_start = log_bytes.rstrip(b"\n").rfind(b"\n") + 1
+    cuts = {
+        "mid-record": (last_line_start + len(log_bytes)) // 2,
+        "before-newline": len(log_bytes) - 1,
+    }
+    for label, cut in cuts.items():
+        out = tmp_path / label
+        shutil.copytree(tmp_path / "whole", out)
+        (out / "trials.jsonl").write_bytes(log_bytes[:cut])
+        explore_space(config, out)
+        assert _artifacts(out) == whole, label
+
+
+_FAULT_POINTS = {
+    # target name -> phases of the timings observed before its write
+    "config.json": [],
+    "dense.ckpt": ["dense"],
+    "edf.csv": ["dense"] + ["screen"] * 4,
+    "finalist_*.ckpt": ["dense"] + ["screen"] * 4 + ["full"],
+    "winners.json": ["dense"] + ["screen"] * 4 + ["full"] * 2,
+}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """An uninterrupted, serial run of the mini config."""
+    out = tmp_path_factory.mktemp("finished") / "run"
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("PRUNESPACE_WORKERS", "1")
+        run_pipeline(_mini_config(), out)
+    return out
+
+
+def _run_with_fault(monkeypatch, out, pattern):
+    """run_pipeline, with `os.replace` failing once, at the first target whose
+    name matches `pattern`; returns that target's name."""
+    real_replace = os.replace
+    failed = []
+
+    def replace(src, dst):
+        if not failed and fnmatch.fnmatch(os.path.basename(dst), pattern):
+            failed.append(os.path.basename(dst))
+            raise OSError("injected write fault")
+        return real_replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected write fault"):
+            run_pipeline(_mini_config(), out)
+    return failed[0]
+
+
+@pytest.mark.parametrize("target", list(_FAULT_POINTS))
+def test_fresh_run_survives_write_fault(tmp_path, monkeypatch, finished_run, target):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    out = tmp_path / "run"
+    name = _run_with_fault(monkeypatch, out, target)
+    assert not (out / name).exists()
+    timings = out / "timings.txt"
+    lines = timings.read_text().splitlines() if timings.exists() else []
+    assert [line.split("\t")[0] for line in lines] == _FAULT_POINTS[target]
+    run_pipeline(_mini_config(), out)
+    assert _artifacts(out) == _artifacts(finished_run)
+
+
+@pytest.mark.parametrize("target", ["edf.csv", "finalist_*.ckpt", "winners.json"])
+def test_rerun_survives_write_fault(tmp_path, monkeypatch, finished_run, target):
+    # a rerun into a finished directory rewrites its reports, finalists and
+    # winners; a failed write leaves the file it was replacing as it was
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    name = _run_with_fault(monkeypatch, out, target)
+    assert (out / name).read_bytes() == (finished_run / name).read_bytes()
+    run_pipeline(_mini_config(), out)
+    assert _artifacts(out) == _artifacts(finished_run)
 
 
 def test_screen_divergence_is_flagged(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -29,6 +30,7 @@ from prunespace import (
     trial_to_json,
     winners_csv,
 )
+from prunespace.runlog import write_atomic
 
 
 def _trial(index, drop=1.5, seed=0):
@@ -215,6 +217,76 @@ def test_read_trials_rejects_disordered_indices(tmp_path):
     with pytest.raises(LogError) as err:
         read_trials(path)
     assert err.value.line == 3
+
+
+def test_trial_log_cuts_torn_final_line(tmp_path, caplog):
+    path = tmp_path / "t.jsonl"
+    log = TrialLog(path, {"x": 1})
+    for i in range(2):
+        log.append(_trial(i))
+    whole = path.read_bytes()
+    last = canonical_json(trial_to_json(_trial(2))) + "\n"
+    path.write_bytes(whole + last[: len(last) // 2].encode())
+    with pytest.raises(LogError):
+        read_trials(path)  # the reader refuses a torn line and leaves it in place
+    assert path.read_bytes() == whole + last[: len(last) // 2].encode()
+    # the writer cuts a record torn mid-line, and one complete but for its newline
+    for tail in (last[: len(last) // 2], last[:-1]):
+        path.write_bytes(whole + tail.encode())
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="prunespace"):
+            reopened = TrialLog(path, {"x": 1})
+        assert path.read_bytes() == whole
+        assert len([r for r in caplog.records if "torn final line" in r.getMessage()]) == 1
+        reopened.append(_trial(2))
+        assert path.read_bytes() == whole + last.encode()
+
+
+def test_trial_log_torn_header_starts_over(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"schema_version":1,"con')
+    log = TrialLog(path, {"x": 1})
+    log.append(_trial(0))
+    fresh = tmp_path / "fresh.jsonl"
+    TrialLog(fresh, {"x": 1}).append(_trial(0))
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_trial_log_refuses_corrupt_middle_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    log = TrialLog(path, {"x": 1})
+    for i in range(3):
+        log.append(_trial(i))
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:10]
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(LogError) as err:
+        TrialLog(path, {"x": 1})
+    assert err.value.line == 3
+    with pytest.raises(LogError):
+        read_trials(path)
+    assert path.read_bytes() == before
+
+
+def test_write_atomic_replaces_whole_file(tmp_path, monkeypatch):
+    path = tmp_path / "sub" / "a.txt"
+    write_atomic(path, "first\n")
+    write_atomic(path, b"second\n")
+    assert path.read_bytes() == b"second\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["a.txt"]
+
+    def failing(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="injected"):
+        write_atomic(path, "third\n")
+    assert path.read_bytes() == b"second\n"  # the old file survives a failed write
+    monkeypatch.undo()
+    write_atomic(path, "third\n")  # and the next write takes over the stale temp file
+    assert sorted(p.name for p in path.parent.iterdir()) == ["a.txt"]
+    assert path.read_bytes() == b"third\n"
 
 
 def test_trial_log_scales(tmp_path):
