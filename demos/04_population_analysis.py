@@ -19,6 +19,7 @@ from prunespace import (
     edf,
     edf_eval,
     finetune_schedule,
+    save_checkpoint,
     scratch_schedule,
     top_k_winners,
     winner_mcb_by_regime,
@@ -51,7 +52,9 @@ def main():
     trials = {}
     for label, config in (("std-free", loose), ("std-0.02", config_for(std_cap=0.02))):
         run = RunDir(OUT / label, config)
-        trials[label] = screen_candidates(config, baseline, run)
+        # both spaces prune the one dense network: a run reuses the dense.ckpt it holds
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        trials[label] = screen_candidates(run)
         print(f"{label}: screened to {run.trials.path}")
     print()
 

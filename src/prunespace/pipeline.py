@@ -7,11 +7,14 @@ The top-k candidates by screening drop are re-pruned from the same dense
 checkpoint and retrained with the full schedule; the winner is the finalist
 with the smallest full-schedule drop.
 
-A run's files are owned by one `RunDir`. Its dense baseline is derived once,
-as a `DenseBaseline` (resolved architecture, dataset, weights, validation
-accuracy), and only when some phase has work left; both later phases read it.
-A fresh run reads the accuracy off the dense training trace; a resumed run
-evaluates the reloaded checkpoint once.
+A run's files and state are owned by one `RunDir`, and the phases take only
+the run: `screen_candidates(run)` and `retrain_top_k(run, trials)`. The run
+holds the config; the trial log, parsed once when the run opens; and the
+dense baseline, derived once, as a `DenseBaseline` (resolved architecture,
+dataset, weights, validation accuracy), and only when some phase has work
+left. A fresh run reads the accuracy off the dense training trace; a run
+whose directory already holds `dense.ckpt` (a resumed run, or one given a
+dense network shared with another run) evaluates the reloaded checkpoint once.
 
 Every phase is a pure function of (config, master seed): each random stream is
 keyed by `derive_seed` from the master seed and a per-phase tag, so
@@ -374,27 +377,24 @@ def worker_count(pending: int) -> int:
     return max(1, min(cap, pending))
 
 
-def screen_candidates(
-    config: PipelineConfig, baseline: DenseBaseline, run: RunDir | None = None
-) -> list[TrialRecord]:
-    """Prune, short-train, and log every sampled candidate, in index order.
+def screen_candidates(run: RunDir) -> list[TrialRecord]:
+    """Prune, short-train, and log every sampled candidate of the run, in index order.
 
-    With a `run`, resumes past the records already in its trial log, so an
-    interrupted run picks up at the first missing index and converges to the
-    same final set; the population is sampled only when some index is still
-    missing. Each candidate is logged, and its seconds observed, as it finishes.
+    Resumes past the records already in the run's trial log, so an interrupted
+    run picks up at the first missing index and converges to the same final
+    set; the population is sampled, and the dense baseline derived, only when
+    some index is still missing. Each candidate is logged, and its seconds
+    observed, as it finishes.
     """
-    records = run.logged_trials() if run is not None else []
-    if len(records) == config.n:
-        return records
-    recipes = sample_population(baseline.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
-    tasks = [(i, recipes[i].ratios) for i in range(len(records), config.n)]
-    for record, _, seconds in _map_candidates(config, baseline, False, tasks):
-        if run is not None:
+    config, logged = run.config, len(run.trials.records)
+    if logged < config.n:
+        baseline = run.baseline
+        recipes = sample_population(baseline.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
+        tasks = [(i, recipes[i].ratios) for i in range(logged, config.n)]
+        for record, _, seconds in _map_candidates(config, baseline, False, tasks):
             run.trials.append(record)
             run.observe("screen", record.index, seconds)
-        records.append(record)
-    return records
+    return list(run.trials.records)
 
 
 @dataclass(frozen=True)
@@ -414,27 +414,22 @@ class PipelineResult:
         }
 
 
-def retrain_top_k(
-    config: PipelineConfig,
-    trials: Sequence[TrialRecord],
-    baseline: DenseBaseline,
-    run: RunDir | None = None,
-) -> PipelineResult:
-    """Re-prune the screened top-k from the dense checkpoint and fully retrain.
+def retrain_top_k(run: RunDir, trials: Sequence[TrialRecord]) -> PipelineResult:
+    """Re-prune the screened top-k from the run's dense weights and fully retrain.
 
     Screening weights are deliberately discarded: finalists restart from the
-    dense checkpoint so the two phases stay independent. With a `run`, each
-    finalist's weights are saved to it as `finalist_<index>.ckpt`.
+    dense checkpoint so the two phases stay independent. Each finalist's
+    weights are saved to the run as `finalist_<index>.ckpt`.
     """
+    config = run.config
     if len(trials) < config.top_k:
         raise ValidationError(f"need at least top_k={config.top_k} trials, got {len(trials)}")
     tasks = [(c.index, c.recipe) for c in top_k_winners(trials, config.top_k)]
     finalists: list[TrialRecord] = []
-    for rank, (record, weights, seconds) in enumerate(_map_candidates(config, baseline, True, tasks)):
+    for rank, (record, weights, seconds) in enumerate(_map_candidates(config, run.baseline, True, tasks)):
         finalists.append(record)
-        if run is not None:
-            run.observe("full", record.index, seconds)
-        if run is not None and weights is not None:
+        run.observe("full", record.index, seconds)
+        if weights is not None:
             meta = {"index": record.index, "rank": rank, "drop": record.accuracy_drop}
             save_checkpoint(run.path / f"finalist_{record.index}.ckpt", weights, meta=meta)
         log.info(
@@ -442,7 +437,7 @@ def retrain_top_k(
             record.index, rank, "diverged" if record.diverged else f"{record.accuracy_drop:.3f}",
         )
     winner = top_k_winners(finalists, 1)[0]
-    return PipelineResult(config, baseline.accuracy, tuple(trials), tuple(finalists), winner)
+    return PipelineResult(config, run.baseline.accuracy, tuple(trials), tuple(finalists), winner)
 
 
 def write_reports(out_dir: str | Path, trials: Sequence[TrialRecord], top_k: int) -> list[Path]:
@@ -467,10 +462,12 @@ class RunDir:
     """One run's directory: its claim, trial log, dense baseline and timings.
 
     Opening writes `config.json`, or refuses a directory whose `config.json`
-    names another config, before touching anything else. `baseline` is derived
-    on first use. Whole files are written with `write_atomic`; the trial log
-    (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by a line as
-    each result comes in.
+    names another config, before touching anything else; it then opens the
+    trial log and refuses one that is not indices 0, 1, ... of at most `n`
+    records. `baseline` is derived on first use, from `dense.ckpt` when the
+    directory holds one. Whole files are written with `write_atomic`; the trial
+    log (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by a line
+    as each result comes in.
     """
 
     def __init__(self, path: str | Path, config: PipelineConfig):
@@ -485,17 +482,13 @@ class RunDir:
                 f"{self.path} already holds a run with a different config; "
                 "use a fresh output directory, or delete this one to start over"
             )
-        self.trials = TrialLog(self.path / "trials.jsonl", config=config_doc)
-
-    def logged_trials(self) -> list[TrialRecord]:
-        """The trial log's records, checked to be indices 0, 1, ... of the population."""
-        records = self.trials.records()
-        if [r.index for r in records] != list(range(len(records))) or len(records) > self.config.n:
+        self.trials = TrialLog(self.path / "trials.jsonl", config_doc)
+        indices = [r.index for r in self.trials.records]
+        if indices != list(range(len(indices))) or len(indices) > config.n:
             raise ValidationError(
                 f"{self.trials.path} is not a contiguous prefix of a population of "
-                f"{self.config.n}: it holds indices {[r.index for r in records]}"
+                f"{config.n}: it holds indices {indices}"
             )
-        return records
 
     def observe(self, phase: str, index: int | str, seconds: float) -> None:
         """Append one `phase<TAB>index<TAB>seconds` line to the timings sidecar."""
@@ -525,10 +518,12 @@ class RunDir:
 
 
 def _screen(run: RunDir) -> list[TrialRecord]:
-    """Screen what the run's log lacks, deriving the baseline only then; write the reports."""
-    trials = run.logged_trials()
-    if len(trials) < run.config.n:
-        trials = screen_candidates(run.config, run.baseline, run)
+    """Screen the run's population, then write its reports."""
+    trials = screen_candidates(run)
+    if all(t.diverged for t in trials):
+        raise TrainingDiverged(
+            f"all {len(trials)} screened candidates diverged; no drop distribution to report"
+        )
     write_reports(run.path, trials, run.config.top_k)
     return trials
 
@@ -541,7 +536,7 @@ def explore_space(config: PipelineConfig, out_dir: str | Path) -> list[TrialReco
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """All three phases; resumable; byte-identical artifacts on rerun."""
     run = RunDir(out_dir, config)
-    result = retrain_top_k(config, _screen(run), run.baseline, run)
+    result = retrain_top_k(run, _screen(run))
     winners = result.to_json()
     del winners["config"]  # config.json already holds it
     write_atomic(run.path / "winners.json", canonical_json(winners) + "\n")

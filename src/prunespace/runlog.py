@@ -159,44 +159,38 @@ class TrialLog:
     """Append-only JSONL trial log bound to one config hash.
 
     Opening a log cuts the bytes after its last newline, left by a kill
-    mid-append, with a warning; corruption anywhere else is refused.
+    mid-append, with a warning; corruption anywhere else is refused. The file
+    is parsed once, at open, into `records`, which each `append` extends.
     """
 
-    def __init__(self, path: str | Path, config: Mapping | None = None):
+    def __init__(self, path: str | Path, config: Mapping):
         self.path = Path(path)
-        self._last_index = -1
+        self.records: list[TrialRecord] = []
         data = self.path.read_bytes() if self.path.exists() else b""
         keep = data.rfind(b"\n") + 1
         if keep < len(data):
             log.warning("%s: cutting %d bytes of a torn final line", self.path, len(data) - keep)
             os.truncate(self.path, keep)
+        want = config_hash(config)
         if keep > 0:
-            header, records = read_trials(self.path)
-            self.header = header
-            if config is not None and header["config_hash"] != config_hash(config):
+            header, self.records = read_trials(self.path)
+            if header["config_hash"] != want:
                 raise LogError(
                     f"{self.path} was written by a different config "
-                    f"(hash {header['config_hash']}, current {config_hash(config)}); "
+                    f"(hash {header['config_hash']}, current {want}); "
                     "resume with the original config, or use a fresh log path"
                 )
-            self._last_index = records[-1].index if records else -1
         else:
-            if config is None:
-                raise ValidationError("a new trial log needs the generating config")
-            self.header = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash(config)}
-            write_atomic(self.path, canonical_json(self.header) + "\n")
+            header = {"schema_version": SCHEMA_VERSION, "config_hash": want}
+            write_atomic(self.path, canonical_json(header) + "\n")
 
     def append(self, record: TrialRecord) -> None:
-        if record.index <= self._last_index:
-            raise LogError(
-                f"record index {record.index} not greater than last index {self._last_index}"
-            )
+        last = self.records[-1].index if self.records else -1
+        if record.index <= last:
+            raise LogError(f"record index {record.index} not greater than last index {last}")
         with open(self.path, "a") as f:
             f.write(canonical_json(trial_to_json(record)) + "\n")
-        self._last_index = record.index
-
-    def records(self) -> list[TrialRecord]:
-        return read_trials(self.path)[1]
+        self.records.append(record)
 
 
 def read_trials(path: str | Path) -> tuple[dict, list[TrialRecord]]:

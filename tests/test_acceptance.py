@@ -38,6 +38,7 @@ from prunespace import (
     rewind_schedule,
     lr_at,
     sample_population,
+    save_checkpoint,
     scratch_schedule,
     softmax_cross_entropy,
     winner_mcb_by_regime,
@@ -344,8 +345,10 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
             dense_schedule=scratch_schedule(20, lr0=0.01),
             seed=0,
         )
+        # both spaces prune the one dense network, placed in each run as its dense.ckpt
         run = RunDir(tmp_path / label, config)
-        trials_by_space[label] = screen_candidates(config, baseline, run)
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        trials_by_space[label] = screen_candidates(run)
     assert all(len(t) == 50 for t in trials_by_space.values())
 
     report = compare_spaces(trials_by_space)

@@ -36,7 +36,7 @@ def test_trace_targets_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["sample-r50", "desk-resume"])
+@pytest.mark.parametrize("workload", ["sample-r50", "desk-resume", "desk-pool"])
 def test_benchmark_workload_smoke(workload):
     # --seconds 0 runs the set-up and the minimum number of ops, each checked
     # by the benchmark itself (logged costs, sampled bands, output digests)

@@ -13,9 +13,11 @@ from prunespace import (
     RunDir,
     SchemaError,
     SpaceSpec,
+    TrainingDiverged,
     ValidationError,
     arch_to_json,
     builtin_arch,
+    canonical_json,
     desk_preset,
     derive_seed,
     explore_space,
@@ -24,6 +26,7 @@ from prunespace import (
     full_preset,
     init_weights,
     pipeline_config_from_json,
+    read_trials,
     resolve_arch,
     resolve_plan,
     retrain_top_k,
@@ -34,7 +37,8 @@ from prunespace import (
     train,
     train_dense_baseline,
 )
-from prunespace import pipeline
+from prunespace import pipeline, runlog
+from prunespace.cli import main as cli_main
 from prunespace.pipeline import _candidate_pool, blas_threads, worker_count
 
 
@@ -151,11 +155,10 @@ def test_dense_baseline_deterministic():
         assert np.array_equal(ta, tb), (lid, role)
 
 
-def test_screen_candidates_order_and_content(monkeypatch):
+def test_screen_candidates_order_and_content(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    baseline = train_dense_baseline(config)
-    records = screen_candidates(config, baseline)
+    records = screen_candidates(RunDir(tmp_path, config))
     assert [r.index for r in records] == list(range(config.n))
     arch = resolve_arch(config.arch)
     recipes = sample_population(arch, config.space, config.n, derive_seed(config.seed, 3))
@@ -167,57 +170,62 @@ def test_screen_candidates_order_and_content(monkeypatch):
         assert rec.seed == config.seed
 
 
+def _sharing_dense(source, path, config):
+    """A RunDir at `path` that reuses the dense network of the run at `source`."""
+    run = RunDir(path, config)
+    shutil.copyfile(source / "dense.ckpt", run.path / "dense.ckpt")
+    return run
+
+
 def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    baseline = train_dense_baseline(config)
 
     full_path = tmp_path / "full" / "trials.jsonl"
-    screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
+    screen_candidates(RunDir(tmp_path / "full", config))
 
     # keep the header and first two records, then resume
     lines = full_path.read_text().splitlines()
     part_path = tmp_path / "part" / "trials.jsonl"
     part_path.parent.mkdir()
     part_path.write_text("\n".join(lines[:3]) + "\n")
-    resumed = screen_candidates(config, baseline, RunDir(tmp_path / "part", config))
+    resumed = screen_candidates(_sharing_dense(tmp_path / "full", tmp_path / "part", config))
     assert part_path.read_bytes() == full_path.read_bytes()
     assert [r.index for r in resumed] == list(range(config.n))
 
     # a complete log short-circuits to the stored records
-    again = screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
+    again = screen_candidates(RunDir(tmp_path / "full", config))
     assert again == resumed
     assert full_path.read_bytes() == part_path.read_bytes()
 
 
 def test_screen_rejects_gapped_log(tmp_path, monkeypatch):
+    # the refusal comes when the run opens, before any phase runs
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config(n=4)
-    baseline = train_dense_baseline(config)
     gap_log = RunDir(tmp_path / "gap", config).trials
-    records = screen_candidates(config, baseline, RunDir(tmp_path / "full", config))
+    records = screen_candidates(RunDir(tmp_path / "full", config))
     gap_log.append(records[0])
     gap_log.append(records[2])
     with pytest.raises(ValidationError):
-        screen_candidates(config, baseline, RunDir(tmp_path / "gap", config))
+        RunDir(tmp_path / "gap", config)
     small = _mini_config(n=2, top_k=1)
     with pytest.raises(ValidationError):
-        screen_candidates(small, baseline, RunDir(tmp_path / "full", small))
+        RunDir(tmp_path / "full", small)
     # a log holding more records than the population is refused too
     long_log = RunDir(tmp_path / "long", small).trials
     for record in records[:3]:
         long_log.append(record)
     with pytest.raises(ValidationError, match="contiguous prefix"):
-        screen_candidates(small, baseline, RunDir(tmp_path / "long", small))
+        RunDir(tmp_path / "long", small)
 
 
 def test_parallel_matches_serial(tmp_path, monkeypatch):
     config = _mini_config()
-    baseline = train_dense_baseline(config)
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
-    serial = screen_candidates(config, baseline, RunDir(tmp_path / "serial", config))
+    serial = screen_candidates(RunDir(tmp_path / "serial", config))
     monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
-    parallel = screen_candidates(config, baseline, RunDir(tmp_path / "parallel", config))
+    parallel = screen_candidates(_sharing_dense(tmp_path / "serial", tmp_path / "parallel", config))
     assert serial == parallel
     assert (tmp_path / "serial" / "trials.jsonl").read_bytes() == (
         tmp_path / "parallel" / "trials.jsonl"
@@ -292,9 +300,9 @@ def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
 def test_retrain_top_k(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
-    baseline = train_dense_baseline(config)
-    trials = screen_candidates(config, baseline)
-    result = retrain_top_k(config, trials, baseline, RunDir(tmp_path, config))
+    run = RunDir(tmp_path, config)
+    trials = screen_candidates(run)
+    result = retrain_top_k(run, trials)
     assert len(result.finalists) == config.top_k
     for f in result.finalists:
         assert f.schedule_kind == "finetune" and f.epochs == 2
@@ -306,7 +314,7 @@ def test_retrain_top_k(tmp_path, monkeypatch):
     doc = result.to_json()
     assert set(doc) == {"config", "dense_accuracy", "finalists", "winner"}
     with pytest.raises(ValidationError):
-        retrain_top_k(config, trials[:1], baseline)
+        retrain_top_k(run, trials[:1])
 
 
 def test_explore_space_artifacts(tmp_path, monkeypatch):
@@ -429,6 +437,39 @@ def test_explore_rerun_derives_no_baseline(tmp_path, monkeypatch):
     assert _artifacts(out) == before
 
 
+def test_trial_log_parsed_once_per_run(tmp_path, monkeypatch):
+    # the run parses its log once, when it opens it, and then keeps the
+    # records in memory; a fresh run has no log to parse
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    calls = []
+    real = runlog.read_trials
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runlog, "read_trials", counted)
+    config = _mini_config()
+    out = tmp_path / "run"
+
+    run_pipeline(config, out)
+    assert len(calls) == 0
+    whole = _artifacts(out)
+
+    run_pipeline(config, out)
+    assert len(calls) == 1
+    assert _artifacts(out) == whole
+
+    # keep the header and first two records, then resume
+    cut = tmp_path / "cut"
+    shutil.copytree(out, cut)
+    lines = (cut / "trials.jsonl").read_text().splitlines()
+    (cut / "trials.jsonl").write_text("\n".join(lines[:3]) + "\n")
+    run_pipeline(config, cut)
+    assert len(calls) == 2
+    assert _artifacts(cut) == whole
+
+
 def test_explore_resumes_past_torn_final_line(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _mini_config()
@@ -513,9 +554,8 @@ def test_rerun_survives_write_fault(tmp_path, monkeypatch, finished_run, target)
     assert _artifacts(out) == _artifacts(finished_run)
 
 
-def test_screen_divergence_is_flagged(monkeypatch):
-    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
-    config = PipelineConfig(
+def _diverging_config():
+    return PipelineConfig(
         arch="resnet-tiny",
         dataset=DatasetSpec(seed=0, per_class=10),
         space=SpaceSpec(target_cflops=0.5, delta=0.01),
@@ -525,7 +565,29 @@ def test_screen_divergence_is_flagged(monkeypatch):
         full_schedule=finetune_schedule(2, lr0=50.0),
         dense_schedule=scratch_schedule(2, lr0=0.01),
     )
-    baseline = train_dense_baseline(config)
-    records = screen_candidates(config, baseline)
+
+
+def test_screen_divergence_is_flagged(tmp_path, monkeypatch):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    config = _diverging_config()
+    records = screen_candidates(RunDir(tmp_path, config))
     assert all(r.diverged for r in records)
     assert all(math.isinf(r.accuracy_drop) for r in records)
+
+
+def test_all_diverged_screening_raises(tmp_path, monkeypatch, caplog):
+    # a population with no finite drop has no distribution to report: the run
+    # stops with TrainingDiverged (CLI exit 5), its trial log complete
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    config = _diverging_config()
+    with pytest.raises(TrainingDiverged, match="all 2 screened candidates diverged"):
+        explore_space(config, tmp_path / "api")
+    assert len(read_trials(tmp_path / "api" / "trials.jsonl")[1]) == config.n
+    assert not (tmp_path / "api" / "edf.csv").exists()
+
+    config_file = tmp_path / "config.json"
+    config_file.write_text(canonical_json(config.to_json()) + "\n")
+    argv = ["explore", "--config", str(config_file), "--out-dir", str(tmp_path / "cli")]
+    with caplog.at_level("ERROR", logger="prunespace"):
+        assert cli_main(argv) == 5
+    assert "all 2 screened candidates diverged" in caplog.text

@@ -145,12 +145,7 @@ def test_trial_log_round_trip(tmp_path):
     assert header["schema_version"] == 1
     assert header["config_hash"] == config_hash(config)
     assert back == records
-    assert log.records() == records
-
-
-def test_trial_log_requires_config_when_new(tmp_path):
-    with pytest.raises(ValidationError):
-        TrialLog(tmp_path / "missing.jsonl")
+    assert log.records == records
 
 
 def test_trial_log_enforces_index_order(tmp_path):
@@ -170,7 +165,7 @@ def test_trial_log_reopen_continues(tmp_path):
     first.append(_trial(0))
     again = TrialLog(path, config)
     again.append(_trial(1))
-    assert [r.index for r in again.records()] == [0, 1]
+    assert [r.index for r in again.records] == [0, 1]
 
 
 def test_trial_log_rejects_config_mismatch(tmp_path):
@@ -179,7 +174,7 @@ def test_trial_log_rejects_config_mismatch(tmp_path):
     with pytest.raises(LogError, match="different config"):
         TrialLog(path, {"x": 2})
     log = TrialLog(path, {"x": 1})
-    assert [r.index for r in log.records()] == [0]
+    assert [r.index for r in log.records] == [0]
 
 
 def test_read_trials_reports_corrupt_line(tmp_path):
