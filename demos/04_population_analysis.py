@@ -24,7 +24,7 @@ from prunespace import (
     top_k_winners,
     winner_mcb_by_regime,
 )
-from prunespace.pipeline import PipelineConfig, RunDir, screen_candidates, train_dense_baseline
+from prunespace.pipeline import PipelineConfig, RunDir, dense_key, screen_candidates, train_dense_baseline
 
 OUT = Path("runs") / "population"
 N = 24
@@ -53,7 +53,9 @@ def main():
     for label, config in (("std-free", loose), ("std-0.02", config_for(std_cap=0.02))):
         run = RunDir(OUT / label, config)
         # both spaces prune the one dense network: a run reuses the dense.ckpt it holds
-        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        # when the checkpoint's key matches its own (same arch, dataset, dense schedule, seed)
+        meta = {"dense_key": dense_key(loose), "val_accuracy": baseline.accuracy}
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta=meta)
         trials[label] = screen_candidates(run)
         print(f"{label}: screened to {run.trials.path}")
     print()

@@ -17,13 +17,12 @@ so a layer never loses all of its filters.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import SchemaError, ValidationError
+from .schema import spec_from_json
 
 if TYPE_CHECKING:
     from .sampling import PruningRecipe
@@ -32,11 +31,6 @@ RATIO_MAX_DEFAULT = 0.95
 
 CONV = "conv"
 FC = "fc"
-
-_LAYER_REQUIRED = {"id", "kind", "c_in", "c_out", "k", "stride", "pad", "bias", "prunable"}
-_LAYER_OPTIONAL = {"group", "affine"}
-_TOP_REQUIRED = {"name", "input", "layers", "edges", "classifier"}
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -297,101 +291,67 @@ def resolve_plan(
 # -- JSON wire format ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _LayerDoc:
+    """A layer entry of an architecture document, under its wire names."""
+
+    id: int
+    kind: str
+    c_in: int
+    c_out: int
+    k: int
+    stride: int
+    pad: int
+    bias: bool
+    prunable: bool
+    group: int | None = None
+    affine: bool = False
+
+    def __post_init__(self):
+        if self.kind not in (CONV, FC):
+            raise SchemaError(f"layer kind must be 'conv' or 'fc', got {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class _ArchDoc:
+    name: str
+    input: tuple[int, int, int]
+    layers: tuple[_LayerDoc, ...]
+    edges: tuple[tuple[int, int], ...]
+    classifier: int
+
+
+# the wire name of each LayerSpec field, in document order
+_LAYER_WIRE = {
+    "id": "id", "kind": "kind", "c_in": "c_in", "c_out": "c_out", "kernel": "k", "stride": "stride",
+    "padding": "pad", "has_bias": "bias", "prunable": "prunable", "coupling_group": "group",
+    "has_affine": "affine",
+}
+
+
 def load_arch(document: str | bytes | Mapping) -> ArchitectureSpec:
     """Parse and validate an architecture JSON document (text or parsed dict).
 
     Unknown fields are rejected so typos fail loudly.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"not valid JSON: {e}") from e
-    else:
-        doc = dict(document)
-    if not isinstance(doc, dict):
-        raise SchemaError("arch document must be a JSON object")
-    missing = _TOP_REQUIRED - doc.keys()
-    if missing:
-        raise SchemaError(f"missing fields: {sorted(missing)}")
-    unknown = doc.keys() - _TOP_REQUIRED
-    if unknown:
-        raise SchemaError(f"unknown fields: {sorted(unknown)}")
-    inp = doc["input"]
-    if not (isinstance(inp, list) and len(inp) == 3 and all(isinstance(v, int) for v in inp)):
-        raise SchemaError("'input' must be [channels, height, width]")
-    if not isinstance(doc["layers"], list) or not doc["layers"]:
-        raise SchemaError("'layers' must be a non-empty list")
-
-    layers = []
-    for entry in doc["layers"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("layer entries must be objects")
-        missing = _LAYER_REQUIRED - entry.keys()
-        if missing:
-            raise SchemaError(f"layer missing fields: {sorted(missing)}")
-        unknown = entry.keys() - _LAYER_REQUIRED - _LAYER_OPTIONAL
-        if unknown:
-            raise SchemaError(f"layer has unknown fields: {sorted(unknown)}")
-        for key in ("id", "c_in", "c_out", "k", "stride", "pad"):
-            if not isinstance(entry[key], int):
-                raise SchemaError(f"layer field {key!r} must be an integer")
-        for key in ("bias", "prunable"):
-            if not isinstance(entry[key], bool):
-                raise SchemaError(f"layer field {key!r} must be a boolean")
-        if "group" in entry and not isinstance(entry["group"], int):
-            raise SchemaError("layer field 'group' must be an integer")
-        if "affine" in entry and not isinstance(entry["affine"], bool):
-            raise SchemaError("layer field 'affine' must be a boolean")
-        if entry["kind"] not in (CONV, FC):
-            raise SchemaError(f"layer kind must be 'conv' or 'fc', got {entry['kind']!r}")
-        layers.append(
-            LayerSpec(
-                id=entry["id"],
-                kind=entry["kind"],
-                c_in=entry["c_in"],
-                c_out=entry["c_out"],
-                kernel=entry["k"],
-                stride=entry["stride"],
-                padding=entry["pad"],
-                has_bias=entry["bias"],
-                has_affine=entry.get("affine", False),
-                prunable=entry["prunable"],
-                coupling_group=entry.get("group"),
-            )
-        )
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise SchemaError("'edges' must be a list of [producer, consumer] pairs")
-    pairs = []
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
-            raise SchemaError(f"bad edge {e!r}")
-        pairs.append((e[0], e[1]))
-    if not isinstance(doc["classifier"], int):
-        raise SchemaError("'classifier' must be a layer id")
-    return ArchitectureSpec(str(doc["name"]), inp, layers, pairs, doc["classifier"])
+    doc = spec_from_json(_ArchDoc, document)
+    layers = [
+        LayerSpec(**{field: getattr(entry, wire) for field, wire in _LAYER_WIRE.items()})
+        for entry in doc.layers
+    ]
+    return ArchitectureSpec(doc.name, doc.input, layers, doc.edges, doc.classifier)
 
 
 def arch_to_json(arch: ArchitectureSpec) -> dict:
     """Emit the canonical JSON form (round-trips through load_arch)."""
     layers = []
     for l in arch.layers:
-        entry: dict = {
-            "id": l.id,
-            "kind": l.kind,
-            "c_in": l.c_in,
-            "c_out": l.c_out,
-            "k": l.kernel,
-            "stride": l.stride,
-            "pad": l.padding,
-            "bias": l.has_bias,
-            "prunable": l.prunable,
-        }
-        if l.coupling_group is not None:
-            entry["group"] = l.coupling_group
-        if l.has_affine:
-            entry["affine"] = True
+        entry = {wire: getattr(l, field) for field, wire in _LAYER_WIRE.items()}
+        # a layer outside any coupling group, or without affine parameters, omits the key
+        if entry["group"] is None:
+            del entry["group"]
+        if not entry["affine"]:
+            del entry["affine"]
         layers.append(entry)
     return {
         "name": arch.name,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -46,7 +45,7 @@ from .runlog import (
     winners_csv,
 )
 from .sampling import recipe_from_json, sample_population, space_from_json
-from .training import schedule_from_json, train
+from .training import KINDS, ScheduleSpec, schedule_from_json, train
 
 log = logging.getLogger("prunespace")
 
@@ -62,13 +61,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
+    """A document file's text; the spec parsers decode it and name a JSON error's position."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e.msg}") from e
 
 
 # -- subcommands -----------------------------------------------------------
@@ -107,7 +105,7 @@ def _cmd_cost(args) -> int:
         raise ValidationError("give either --recipe or --uniform, not both")
     plan = None
     if args.recipe is not None:
-        plan = resolve_plan(arch, recipe_from_json(_read_json(args.recipe)))
+        plan = resolve_plan(arch, recipe_from_json(_read_text(args.recipe)))
     elif args.uniform is not None:
         plan = resolve_plan(arch, [args.uniform] * len(prunable_units(arch)))
     report = network_cost(arch, plan)
@@ -117,7 +115,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_sample(args) -> int:
     arch = resolve_arch(args.arch)
-    space = space_from_json(_read_json(args.space))
+    space = space_from_json(_read_text(args.space))
     recipes = sample_population(arch, space, args.n, args.seed, args.max_attempts)
     lines = [canonical_json(r.to_json()) for r in recipes]
     _emit("\n".join(lines), args.out)
@@ -131,7 +129,7 @@ def _cmd_prune(args) -> int:
         raise ValidationError(
             f"checkpoint holds {weights.arch_name!r} weights, architecture is {arch.name!r}"
         )
-    recipe = recipe_from_json(_read_json(args.recipe))
+    recipe = recipe_from_json(_read_text(args.recipe))
     seed = args.seed if args.method == "random" else None
     pruned = one_shot_prune(weights, arch, recipe, method=args.method, seed=seed)
     save_checkpoint(
@@ -150,12 +148,9 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    schedule = (
-        schedule_from_json(_read_json(args.schedule))
-        if args.schedule
-        else schedule_from_json({"kind": args.kind, "epochs": args.epochs})
-    )
-    dataset = dataset_from_json(_read_json(args.dataset)) if args.dataset else DatasetSpec()
+    schedule = (schedule_from_json(_read_text(args.schedule)) if args.schedule
+                else ScheduleSpec(args.kind, args.epochs))
+    dataset = dataset_from_json(_read_text(args.dataset)) if args.dataset else DatasetSpec()
     np_dtype = np.float32 if args.dtype == "float32" else np.float64
     if args.checkpoint:
         weights, meta = load_checkpoint(args.checkpoint)
@@ -189,7 +184,7 @@ def _load_pipeline_config(args):
     if args.config is None and args.preset is None:
         raise ValidationError("give --config or --preset")
     if args.config is not None:
-        config = pipeline_config_from_json(_read_json(args.config))
+        config = pipeline_config_from_json(_read_text(args.config))
     else:
         config = _PRESETS[args.preset]()
     if args.seed is not None:
@@ -307,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", help="builtin name or architecture JSON file")
     p.add_argument("--checkpoint", help="start from these weights")
     p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--kind", choices=("finetune", "rewind", "scratch"), default="scratch")
+    p.add_argument("--kind", choices=KINDS, default="scratch")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--dataset", help="dataset spec JSON file")
     p.add_argument("--dtype", choices=("float32", "float64"), default="float32")

@@ -6,12 +6,14 @@ The generator is fully determined by its seed and splits 80/20 per class.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
+from .schema import spec_from_json, spec_to_json
 from .seeds import derive_seed
 
 DEFAULT_NOISE_SIGMA = 0.5
@@ -51,35 +53,10 @@ class DatasetSpec:
             self.seed, self.num_classes, self.per_class, self.shape, self.noise_sigma, dtype
         )
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_classes": self.num_classes,
-            "per_class": self.per_class,
-            "shape": list(self.shape),
-            "noise_sigma": self.noise_sigma,
-        }
+    to_json = spec_to_json
 
 
-def dataset_from_json(doc: Mapping) -> DatasetSpec:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("dataset spec must be a JSON object")
-    allowed = {"seed", "num_classes", "per_class", "shape", "noise_sigma"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"unknown dataset fields: {sorted(unknown)}")
-    kwargs: dict = {k: doc[k] for k in allowed & set(doc)}
-    if "shape" in kwargs:
-        shape = kwargs["shape"]
-        if not isinstance(shape, (list, tuple)) or len(shape) != 3:
-            raise SchemaError("'shape' must be a [c, h, w] triple")
-        kwargs["shape"] = tuple(int(s) for s in shape)
-    for key in ("seed", "num_classes", "per_class"):
-        if key in kwargs:
-            kwargs[key] = int(kwargs[key])
-    if "noise_sigma" in kwargs:
-        kwargs["noise_sigma"] = float(kwargs["noise_sigma"])
-    return DatasetSpec(**kwargs)
+dataset_from_json = functools.partial(spec_from_json, DatasetSpec)
 
 
 def class_templates(

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes: ValidationError family -> 3, FeasibilityError -> 4,
-TrainingDiverged -> 5.
+CLI exit codes: 3 for a ValidationError, SchemaError and LogError included;
+4 for a FeasibilityError; 5 for TrainingDiverged. Anything else is a bug.
 """
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ class PruneSpaceError(Exception):
 
 
 class ValidationError(PruneSpaceError, ValueError):
-    """Bad input: schema violations, out-of-range values, malformed documents."""
+    """Bad input: an out-of-range value, a malformed document or a refused run directory."""
 
 
 class SchemaError(ValidationError):
-    """A structured document does not match its schema."""
+    """A JSON document does not fit its spec: unknown, missing or mistyped field, by path."""
 
 
 class LogError(ValidationError):

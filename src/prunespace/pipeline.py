@@ -15,6 +15,8 @@ dataset, weights, validation accuracy), and only when some phase has work
 left. A fresh run reads the accuracy off the dense training trace; a run
 whose directory already holds `dense.ckpt` (a resumed run, or one given a
 dense network shared with another run) evaluates the reloaded checkpoint once.
+The checkpoint carries the `dense_key` it was trained for, a hash of the
+config's arch, dataset, dense_schedule and seed; a run refuses any other key.
 
 Every phase is a pure function of (config, master seed): each random stream is
 keyed by `derive_seed` from the master seed and a per-phase tag, so
@@ -41,7 +43,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -50,13 +52,14 @@ import numpy as np
 from .analysis import TrialRecord, accuracy_drop, distribution_summary, edf, top_k_winners
 from .arch import ArchitectureSpec, builtin_arch, builtin_names, load_arch
 from .cost import network_cost
-from .dataset import Batch, DatasetSpec, dataset_from_json
-from .errors import SchemaError, TrainingDiverged, ValidationError
+from .dataset import Batch, DatasetSpec
+from .errors import TrainingDiverged, ValidationError
 from .network import NetworkWeights, evaluate, init_weights
 from .pruning import METHODS, one_shot_prune
 from .runlog import (
     TrialLog,
     canonical_json,
+    config_hash,
     edf_csv,
     histogram_csv,
     load_checkpoint,
@@ -66,8 +69,9 @@ from .runlog import (
     winners_csv,
     write_atomic,
 )
-from .sampling import SpaceSpec, derive_seed, recipe_std, sample_population, space_from_json
-from .training import ScheduleSpec, finetune_schedule, schedule_from_json, scratch_schedule, train
+from .sampling import SpaceSpec, derive_seed, recipe_std, sample_population
+from .schema import spec_from_json, spec_to_json
+from .training import ScheduleSpec, finetune_schedule, scratch_schedule, train
 
 log = logging.getLogger("prunespace")
 
@@ -97,18 +101,19 @@ def resolve_arch(name_or_path: str | Mapping) -> ArchitectureSpec:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
     """Complete, hashable description of one search run."""
 
     arch: str
-    dataset: DatasetSpec
+    dataset: DatasetSpec = DatasetSpec()
     space: SpaceSpec
     n: int
     top_k: int
     short_schedule: ScheduleSpec
     full_schedule: ScheduleSpec
-    dense_schedule: ScheduleSpec
+    # None: from scratch for as many epochs as the finalists get
+    dense_schedule: ScheduleSpec | None = None
     seed: int = 0
     method: str = "l2"
 
@@ -122,48 +127,17 @@ class PipelineConfig:
                 "screening epochs must not exceed full-retraining epochs "
                 f"({self.short_schedule.epochs} > {self.full_schedule.epochs})"
             )
+        if self.dense_schedule is None:
+            object.__setattr__(self, "dense_schedule", scratch_schedule(self.full_schedule.epochs))
         if self.dense_schedule.kind != "scratch":
             raise ValidationError("the dense baseline is trained from scratch")
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
 
-    def to_json(self) -> dict:
-        # keys in field order; the dataset, space and schedules render themselves
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in doc.items()}
+    to_json = spec_to_json
 
 
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
-_CONFIG_REQUIRED = {"arch", "space", "n", "top_k", "short_schedule", "full_schedule"}
-
-
-def pipeline_config_from_json(doc: Mapping) -> PipelineConfig:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("pipeline config must be a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
-    if unknown:
-        raise SchemaError(f"unknown pipeline config fields: {sorted(unknown)}")
-    missing = _CONFIG_REQUIRED - set(doc)
-    if missing:
-        raise SchemaError(f"pipeline config missing fields: {sorted(missing)}")
-    full = schedule_from_json(doc["full_schedule"])
-    dense = (
-        schedule_from_json(doc["dense_schedule"])
-        if "dense_schedule" in doc
-        else scratch_schedule(full.epochs)
-    )
-    return PipelineConfig(
-        arch=str(doc["arch"]),
-        dataset=dataset_from_json(doc.get("dataset", {})),
-        space=space_from_json(doc["space"]),
-        n=int(doc["n"]),
-        top_k=int(doc["top_k"]),
-        short_schedule=schedule_from_json(doc["short_schedule"]),
-        full_schedule=full,
-        dense_schedule=dense,
-        seed=int(doc.get("seed", 0)),
-        method=str(doc.get("method", "l2")),
-    )
+pipeline_config_from_json = functools.partial(spec_from_json, PipelineConfig)
 
 
 def _preset(arch: str, seed: int, n: int, top_k: int, screen_epochs: int, epochs: int) -> PipelineConfig:
@@ -206,6 +180,12 @@ class DenseBaseline:
     data: tuple[Batch, Batch]
     weights: NetworkWeights
     accuracy: float
+
+
+def dense_key(config: PipelineConfig) -> str:
+    """Hash of the config fields `train_dense_baseline` reads; runs of one key share a dense network."""
+    doc = config.to_json()
+    return config_hash({k: doc[k] for k in ("arch", "dataset", "dense_schedule", "seed")})
 
 
 def train_dense_baseline(
@@ -465,9 +445,9 @@ class RunDir:
     names another config, before touching anything else; it then opens the
     trial log and refuses one that is not indices 0, 1, ... of at most `n`
     records. `baseline` is derived on first use, from `dense.ckpt` when the
-    directory holds one. Whole files are written with `write_atomic`; the trial
-    log (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by a line
-    as each result comes in.
+    directory holds one, which must carry the run's `dense_key`. Whole files are
+    written with `write_atomic`; the trial log (`trials.jsonl`) and the timings
+    sidecar (`timings.txt`) grow by a line as each result comes in.
     """
 
     def __init__(self, path: str | Path, config: PipelineConfig):
@@ -498,11 +478,16 @@ class RunDir:
     @functools.cached_property
     def baseline(self) -> DenseBaseline:
         """The dense baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
-        config, path = self.config, self.path / "dense.ckpt"
+        config, path, key = self.config, self.path / "dense.ckpt", dense_key(self.config)
         data = config.dataset.build()
         if path.exists():
             arch = resolve_arch(config.arch)
-            weights, _ = load_checkpoint(path)
+            weights, meta = load_checkpoint(path)
+            if meta.get("dense_key") != key:
+                raise ValidationError(
+                    f"{path} was trained for dense key {meta.get('dense_key')}, this run's is {key}: "
+                    "its arch, dataset, dense_schedule or seed differ"
+                )
             if weights.arch_name != arch.name:
                 raise ValidationError(
                     f"{path} holds weights for {weights.arch_name!r}, config wants {arch.name!r}"
@@ -512,7 +497,7 @@ class RunDir:
         started = time.perf_counter()
         baseline = train_dense_baseline(config, data)
         self.observe("dense", "-", time.perf_counter() - started)
-        save_checkpoint(path, baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        save_checkpoint(path, baseline.weights, meta={"dense_key": key, "val_accuracy": baseline.accuracy})
         log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
         return baseline
 

@@ -14,15 +14,16 @@ populations order-deterministic and safe to generate in parallel.
 """
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .arch import ArchitectureSpec, RATIO_MAX_DEFAULT, prunable_units, resolve_plan
 from .cost import cost_table, fractional_uniform_metrics, network_cost
-from .errors import FeasibilityError, SchemaError, ValidationError
+from .errors import FeasibilityError, ValidationError
+from .schema import spec_from_json, spec_to_json
 from .seeds import derive_seed
 
 DEFAULT_DELTA = 0.002
@@ -30,11 +31,6 @@ DEFAULT_SIGMA = 0.05
 DEFAULT_MAX_ATTEMPTS = 100_000
 # Attempts drawn and costed together; 16-64 rows run fastest on resnet50-shape.
 ATTEMPT_BLOCK = 32
-
-_SPACE_FIELDS = {
-    "target_cflops", "delta", "target_cparams", "delta_params",
-    "std_cap", "mcb_band", "ratio_max",
-}
 
 
 @dataclass(frozen=True)
@@ -47,18 +43,10 @@ class PruningRecipe:
     def __len__(self) -> int:
         return len(self.ratios)
 
-    def to_json(self) -> dict:
-        return {"arch": self.arch, "ratios": list(self.ratios)}
+    to_json = spec_to_json
 
 
-def recipe_from_json(document: str | Mapping) -> PruningRecipe:
-    doc = json.loads(document) if isinstance(document, (str, bytes)) else dict(document)
-    if not isinstance(doc, dict) or set(doc) != {"arch", "ratios"}:
-        raise SchemaError("recipe document must have exactly the fields 'arch' and 'ratios'")
-    ratios = doc["ratios"]
-    if not isinstance(ratios, list) or not all(isinstance(r, (int, float)) for r in ratios):
-        raise SchemaError("'ratios' must be a list of numbers")
-    return PruningRecipe(str(doc["arch"]), tuple(float(r) for r in ratios))
+recipe_from_json = functools.partial(spec_from_json, PruningRecipe)
 
 
 @dataclass(frozen=True)
@@ -92,40 +80,15 @@ class SpaceSpec:
             raise ValidationError(f"ratio_max must be in (0, 1), got {self.ratio_max}")
 
     def to_json(self) -> dict:
-        doc: dict = {}
-        if self.target_cflops is not None:
-            doc["target_cflops"] = self.target_cflops
-            doc["delta"] = self.delta
-        if self.target_cparams is not None:
-            doc["target_cparams"] = self.target_cparams
-            doc["delta_params"] = self.delta_params
-        if self.std_cap is not None:
-            doc["std_cap"] = self.std_cap
-        if self.mcb_band is not None:
-            doc["mcb_band"] = list(self.mcb_band)
-        doc["ratio_max"] = self.ratio_max
-        return doc
+        # absent fields are left out, and so is the half-width of an absent target
+        doc = spec_to_json(self)
+        for target, half_width in (("target_cflops", "delta"), ("target_cparams", "delta_params")):
+            if doc[target] is None:
+                del doc[half_width]
+        return {k: v for k, v in doc.items() if v is not None}
 
 
-def space_from_json(document: str | Mapping) -> SpaceSpec:
-    doc = json.loads(document) if isinstance(document, (str, bytes)) else dict(document)
-    if not isinstance(doc, dict):
-        raise SchemaError("space document must be a JSON object")
-    unknown = doc.keys() - _SPACE_FIELDS
-    if unknown:
-        raise SchemaError(f"space has unknown fields: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key in ("target_cflops", "delta", "target_cparams", "delta_params", "std_cap", "ratio_max"):
-        if key in doc and doc[key] is not None:
-            if not isinstance(doc[key], (int, float)):
-                raise SchemaError(f"space field {key!r} must be a number")
-            kwargs[key] = float(doc[key])
-    band = doc.get("mcb_band")
-    if band is not None:
-        if not (isinstance(band, list) and len(band) == 2):
-            raise SchemaError("'mcb_band' must be [center, half_width]")
-        kwargs["mcb_band"] = (float(band[0]), float(band[1]))
-    return SpaceSpec(**kwargs)
+space_from_json = functools.partial(spec_from_json, SpaceSpec)
 
 
 @dataclass(frozen=True)

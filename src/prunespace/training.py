@@ -13,6 +13,7 @@ epoch count; records downstream always carry it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,19 +23,18 @@ from .arch import ArchitectureSpec
 from .dataset import Batch
 from .errors import TrainingDiverged, ValidationError
 from .network import NetworkWeights, evaluate, init_weights, loss_and_grads
+from .schema import spec_from_json, spec_to_json
 from .seeds import derive_seed
 
-KINDS = ("finetune", "rewind", "scratch")
-_SCHEDULE_FIELDS = {
-    "kind", "epochs", "lr0", "warmup_epochs", "momentum", "weight_decay", "batch_size",
-}
+_DEFAULT_LR0 = {"finetune": 0.01, "rewind": 0.1, "scratch": 0.1}
+KINDS = tuple(_DEFAULT_LR0)
 
 
 @dataclass(frozen=True)
 class ScheduleSpec:
     kind: str
     epochs: int
-    lr0: float
+    lr0: float | None = None  # None takes the kind's default
     warmup_epochs: int = 5
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -43,6 +43,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"schedule kind must be one of {KINDS}, got {self.kind!r}")
+        if self.lr0 is None:
+            object.__setattr__(self, "lr0", _DEFAULT_LR0[self.kind])
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.lr0 <= 0:
@@ -56,45 +58,13 @@ class ScheduleSpec:
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epochs": self.epochs,
-            "lr0": self.lr0,
-            "warmup_epochs": self.warmup_epochs,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-        }
+    to_json = spec_to_json
 
 
-def schedule_from_json(doc: dict) -> ScheduleSpec:
-    if not isinstance(doc, dict):
-        raise ValidationError("schedule must be a JSON object")
-    unknown = doc.keys() - _SCHEDULE_FIELDS
-    if unknown:
-        raise ValidationError(f"schedule has unknown fields: {sorted(unknown)}")
-    if "kind" not in doc or "epochs" not in doc:
-        raise ValidationError("schedule needs at least 'kind' and 'epochs'")
-    kind = doc["kind"]
-    defaults = {"finetune": 0.01, "rewind": 0.1, "scratch": 0.1}
-    if kind not in defaults:
-        raise ValidationError(f"schedule kind must be one of {KINDS}, got {kind!r}")
-    kwargs = {k: doc[k] for k in _SCHEDULE_FIELDS if k in doc}
-    kwargs.setdefault("lr0", defaults[kind])
-    return ScheduleSpec(**kwargs)
-
-
-def finetune_schedule(epochs: int, lr0: float = 0.01, **kw) -> ScheduleSpec:
-    return ScheduleSpec("finetune", epochs, lr0, **kw)
-
-
-def rewind_schedule(epochs: int, lr0: float = 0.1, warmup_epochs: int = 5, **kw) -> ScheduleSpec:
-    return ScheduleSpec("rewind", epochs, lr0, warmup_epochs=warmup_epochs, **kw)
-
-
-def scratch_schedule(epochs: int, lr0: float = 0.1, **kw) -> ScheduleSpec:
-    return ScheduleSpec("scratch", epochs, lr0, **kw)
+schedule_from_json = functools.partial(spec_from_json, ScheduleSpec)
+finetune_schedule = functools.partial(ScheduleSpec, "finetune")
+rewind_schedule = functools.partial(ScheduleSpec, "rewind")
+scratch_schedule = functools.partial(ScheduleSpec, "scratch")
 
 
 def lr_at(schedule: ScheduleSpec, epoch: float) -> float:

@@ -47,6 +47,7 @@ from prunespace.cli import main as cli_main
 from prunespace.pipeline import (
     PipelineConfig,
     RunDir,
+    dense_key,
     desk_preset,
     run_pipeline,
     screen_candidates,
@@ -345,9 +346,11 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
             dense_schedule=scratch_schedule(20, lr0=0.01),
             seed=0,
         )
-        # both spaces prune the one dense network, placed in each run as its dense.ckpt
+        # both spaces prune the desk preset's dense network, placed in each run as its
+        # dense.ckpt under the preset's key, which a run reuses only if it equals its own
         run = RunDir(tmp_path / label, config)
-        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta={"val_accuracy": baseline.accuracy})
+        meta = {"dense_key": dense_key(desk_preset()), "val_accuracy": baseline.accuracy}
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta=meta)
         trials_by_space[label] = screen_candidates(run)
     assert all(len(t) == 50 for t in trials_by_space.values())
 

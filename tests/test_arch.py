@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from prunespace import (
     ArchitectureSpec,
     LayerSpec,
+    SchemaError,
     ValidationError,
     arch_to_json,
     builtin_arch,
@@ -141,6 +144,27 @@ def test_load_arch_rejects_unknown_fields():
     doc = _chain_doc()
     doc["extra"] = 1
     with pytest.raises(ValidationError):
+        load_arch(doc)
+
+
+@pytest.mark.parametrize("where", [
+    ("input", 0),
+    ("layers", 0, "id"),
+    ("layers", 0, "c_in"),
+    ("layers", 0, "c_out"),
+    ("layers", 0, "k"),
+    ("layers", 0, "stride"),
+    ("layers", 0, "pad"),
+    ("layers", 0, "group"),
+    ("edges", 0, 0),
+    ("classifier",),
+], ids=lambda where: ".".join(map(str, where)))
+def test_load_arch_rejects_bools_for_ints(where):
+    # JSON true is no integer, although Python's True == 1; stride true must not load as stride 1
+    doc = _chain_doc()
+    *parents, key = where
+    functools.reduce(operator.getitem, parents, doc)[key] = True
+    with pytest.raises(SchemaError):
         load_arch(doc)
 
 

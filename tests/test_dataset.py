@@ -81,8 +81,6 @@ def test_dataset_validation():
 
 
 def test_dataset_spec_json():
-    spec = DatasetSpec(seed=2, num_classes=4, per_class=50, shape=(1, 8, 8), noise_sigma=0.25)
-    assert dataset_from_json(spec.to_json()) == spec
     assert dataset_from_json({}) == DatasetSpec()
     with pytest.raises(SchemaError):
         dataset_from_json({"sigma": 0.5})

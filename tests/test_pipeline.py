@@ -1,3 +1,4 @@
+import dataclasses
 import fnmatch
 import json
 import math
@@ -18,6 +19,7 @@ from prunespace import (
     arch_to_json,
     builtin_arch,
     canonical_json,
+    dense_key,
     desk_preset,
     derive_seed,
     explore_space,
@@ -25,6 +27,7 @@ from prunespace import (
     network_cost,
     full_preset,
     init_weights,
+    load_checkpoint,
     pipeline_config_from_json,
     read_trials,
     resolve_arch,
@@ -32,6 +35,7 @@ from prunespace import (
     retrain_top_k,
     run_pipeline,
     sample_population,
+    save_checkpoint,
     screen_candidates,
     scratch_schedule,
     train,
@@ -74,12 +78,6 @@ def test_config_validation():
         )
     with pytest.raises(ValidationError):
         _mini_config(method="largest")
-
-
-def test_config_json_round_trip():
-    config = _mini_config(seed=7)
-    doc = json.loads(json.dumps(config.to_json()))
-    assert pipeline_config_from_json(doc) == config
 
 
 def test_config_json_defaults():
@@ -197,6 +195,38 @@ def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
     again = screen_candidates(RunDir(tmp_path / "full", config))
     assert again == resumed
     assert full_path.read_bytes() == part_path.read_bytes()
+
+
+def test_dense_checkpoint_is_reused_only_under_its_key(tmp_path, caplog, capsys):
+    source = RunDir(tmp_path / "source", _mini_config(seed=1))
+    source.baseline  # trains the dense network and saves it as dense.ckpt
+    source_key = load_checkpoint(source.path / "dense.ckpt")[1]["dense_key"]
+    assert source_key == dense_key(source.config)
+
+    # another space and population size, the same dense fields: the network is shared
+    other_space = dataclasses.replace(
+        source.config, space=SpaceSpec(target_cflops=0.3, delta=0.01), n=2, top_k=1
+    )
+    assert dense_key(other_space) == source_key
+    shared = _sharing_dense(tmp_path / "source", tmp_path / "shared", other_space)
+    assert shared.baseline.accuracy == source.baseline.accuracy
+
+    # another dense seed: the run refuses the checkpoint, exit 3, naming both keys
+    config = _mini_config(seed=0)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(canonical_json(config.to_json()) + "\n")
+    run = _sharing_dense(tmp_path / "source", tmp_path / "run", config)
+    with caplog.at_level("ERROR", logger="prunespace"):
+        code = cli_main(["explore", "--config", str(config_file), "--out-dir", str(run.path)])
+    capsys.readouterr()
+    assert code == 3
+    assert source_key in caplog.text and dense_key(config) in caplog.text
+    assert read_trials(run.path / "trials.jsonl")[1] == []
+
+    # a checkpoint saved without a key is refused as well
+    save_checkpoint(run.path / "dense.ckpt", source.baseline.weights, meta={"val_accuracy": 1.0})
+    with pytest.raises(ValidationError, match=f"dense key None, this run's is {dense_key(config)}"):
+        RunDir(run.path, config).baseline
 
 
 def test_screen_rejects_gapped_log(tmp_path, monkeypatch):

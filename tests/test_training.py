@@ -53,11 +53,6 @@ def test_schedule_defaults_per_kind():
         schedule_from_json({"kind": "finetune", "epochs": 4, "bogus": 1})
 
 
-def test_schedule_json_round_trip():
-    s = rewind_schedule(20, lr0=0.2, warmup_epochs=3, batch_size=16)
-    assert schedule_from_json(s.to_json()) == s
-
-
 def test_lr_at_cosine_values():
     s = finetune_schedule(10)
     assert lr_at(s, 0) == pytest.approx(0.01)
