@@ -21,26 +21,39 @@ from .arch import ArchitectureSpec, prunable_units, resolve_plan
 from .cost import CostReport, network_cost
 from .errors import ValidationError
 from .sampling import uniform_base_ratio
+from .schema import spec_to_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialRecord:
-    """One retrained subnetwork: recipe, exact costs, and the observed drop."""
+    """One retrained subnetwork: recipe, exact costs, and the observed drop.
+
+    Also the spec of a trial-log line, whose keys are its fields in order. The
+    drop is in percentage points; a diverged trial's is +inf, written as null.
+    """
 
     index: int
     recipe: tuple[float, ...]
     arch: str
     cost: CostReport
     recipe_std: float
-    accuracy_drop: float  # percentage points; +inf when training diverged
-    schedule_kind: str
+    accuracy_drop: float | None
+    diverged: bool
+    schedule: str
     epochs: int
     seed: int
-    diverged: bool = False
 
     def __post_init__(self):
-        if self.diverged and not math.isinf(self.accuracy_drop):
-            raise ValidationError("diverged trials must carry an infinite drop")
+        if self.diverged and self.accuracy_drop in (None, math.inf):
+            object.__setattr__(self, "accuracy_drop", math.inf)
+        elif self.diverged or self.accuracy_drop is None or not math.isfinite(self.accuracy_drop):
+            raise ValidationError(
+                f"accuracy_drop must be null or inf exactly when the trial diverged, "
+                f"got {self.accuracy_drop} with diverged {self.diverged}"
+            )
+
+    def to_json(self) -> dict:
+        return {**spec_to_json(self), "accuracy_drop": None} if self.diverged else spec_to_json(self)
 
 
 def accuracy_drop(dense_acc: float, sub_acc: float) -> float:
@@ -146,6 +159,8 @@ def top_k_winners(trials: Sequence[TrialRecord], k: int) -> list[TrialRecord]:
 
 @dataclass(frozen=True)
 class RegimeRow:
+    """One FLOPs regime's winners; `regimes_csv` writes the fields as columns, in order."""
+
     target_cflops: float
     flops_reduction: float
     winner_mcb_q1: float

@@ -17,6 +17,7 @@ so a layer never loses all of its filters.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -485,7 +486,9 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
+@functools.cache
 def builtin_arch(name: str) -> ArchitectureSpec:
+    """The builtin spec of `name`; one per name, which keeps its cost table cached."""
     try:
         factory = _BUILTINS[name]
     except KeyError:

@@ -41,7 +41,6 @@ from .runlog import (
     read_trials,
     save_checkpoint,
     summary_csv,
-    trial_to_json,
     winners_csv,
 )
 from .sampling import recipe_from_json, sample_population, space_from_json
@@ -154,7 +153,7 @@ def _cmd_train(args) -> int:
     np_dtype = np.float32 if args.dtype == "float32" else np.float64
     if args.checkpoint:
         weights, meta = load_checkpoint(args.checkpoint)
-        if isinstance(meta, dict) and "arch_document" in meta:
+        if "arch_document" in meta:
             arch = resolve_arch(meta["arch_document"])
         elif args.arch:
             arch = resolve_arch(args.arch)
@@ -211,7 +210,7 @@ def _cmd_pipeline(args) -> int:
     result = run_pipeline(config, args.out_dir)
     doc = {
         "dense_accuracy": result.dense_accuracy,
-        "winner": trial_to_json(result.winner),
+        "winner": result.winner.to_json(),
         "out": str(args.out_dir),
     }
     _emit(canonical_json(doc), args.out)

@@ -18,13 +18,14 @@ stay below 2**53, so every ratio equals the scalar int / int division.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .arch import ArchitectureSpec, LayerSpec, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
+from .schema import spec_to_json
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class CostReport:
     c_params: float
     mcb: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = spec_to_json
 
 
 def layer_cost(layer: LayerSpec, in_ch: int, out_ch: int) -> tuple[int, int]:

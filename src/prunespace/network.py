@@ -90,15 +90,19 @@ def init_weights(arch: ArchitectureSpec, seed, dtype=np.float32) -> NetworkWeigh
     return NetworkWeights(tensors, arch.name)
 
 
-def _check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:
+def check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:
+    """Refuse weights that miss a layer or a tensor of one, or hold one of the wrong shape."""
     for l in arch.layers:
         t = weights.tensors.get(l.id)
         if t is None:
             raise ValidationError(f"weights missing layer {l.id}")
-        w = t["w"]
-        expect = (l.c_in, l.c_out, l.kernel, l.kernel) if l.kind == "conv" else (l.c_in, l.c_out)
-        if w.shape != expect:
-            raise ValidationError(f"layer {l.id}: weight shape {w.shape} != {expect}")
+        shapes = {"w": (l.c_in, l.c_out, l.kernel, l.kernel) if l.kind == "conv" else (l.c_in, l.c_out)}
+        shapes.update(dict.fromkeys(("b",) * l.has_bias + ("scale", "shift") * l.has_affine, (l.c_out,)))
+        for role, shape in shapes.items():
+            if role not in t:
+                raise ValidationError(f"layer {l.id}: weights missing role {role!r}")
+            if t[role].shape != shape:
+                raise ValidationError(f"layer {l.id}: {role} shape {t[role].shape} != {shape}")
 
 
 def _as_inputs(batch) -> np.ndarray:
@@ -136,7 +140,7 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
     x = _as_inputs(batch)
     if x.ndim != 4 or x.shape[1:] != arch.input_shape:
         raise ValidationError(f"inputs shaped {x.shape[1:]} do not match {arch.input_shape}")
-    _check_weights(weights, arch)
+    check_weights(weights, arch)
     x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     cache: dict = {"outputs": {}, "layers": {}}
     outputs = cache["outputs"]

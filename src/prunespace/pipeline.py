@@ -65,7 +65,6 @@ from .runlog import (
     load_checkpoint,
     save_checkpoint,
     summary_csv,
-    trial_to_json,
     winners_csv,
     write_atomic,
 )
@@ -237,7 +236,7 @@ def _train_candidate(
         cost=cost,
         recipe_std=recipe_std(ratios),
         accuracy_drop=drop,
-        schedule_kind=schedule.kind,
+        schedule=schedule.kind,
         epochs=schedule.epochs,
         seed=config.seed,
         diverged=diverged,
@@ -379,19 +378,10 @@ def screen_candidates(run: RunDir) -> list[TrialRecord]:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    config: PipelineConfig
     dense_accuracy: float
     trials: tuple[TrialRecord, ...]
     finalists: tuple[TrialRecord, ...]
     winner: TrialRecord
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "dense_accuracy": self.dense_accuracy,
-            "finalists": [trial_to_json(t) for t in self.finalists],
-            "winner": trial_to_json(self.winner),
-        }
 
 
 def retrain_top_k(run: RunDir, trials: Sequence[TrialRecord]) -> PipelineResult:
@@ -417,7 +407,7 @@ def retrain_top_k(run: RunDir, trials: Sequence[TrialRecord]) -> PipelineResult:
             record.index, rank, "diverged" if record.diverged else f"{record.accuracy_drop:.3f}",
         )
     winner = top_k_winners(finalists, 1)[0]
-    return PipelineResult(config, run.baseline.accuracy, tuple(trials), tuple(finalists), winner)
+    return PipelineResult(run.baseline.accuracy, tuple(trials), tuple(finalists), winner)
 
 
 def write_reports(out_dir: str | Path, trials: Sequence[TrialRecord], top_k: int) -> list[Path]:
@@ -522,8 +512,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """All three phases; resumable; byte-identical artifacts on rerun."""
     run = RunDir(out_dir, config)
     result = retrain_top_k(run, _screen(run))
-    winners = result.to_json()
-    del winners["config"]  # config.json already holds it
+    winners = {
+        "dense_accuracy": result.dense_accuracy,
+        "finalists": [t.to_json() for t in result.finalists],
+        "winner": result.winner.to_json(),
+    }
     write_atomic(run.path / "winners.json", canonical_json(winners) + "\n")
     log.info(
         "winner: candidate %d, drop %s",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import ArchitectureSpec, PrunableUnit, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
-from .network import NetworkWeights
+from .network import NetworkWeights, check_weights
 from .sampling import PruningRecipe
 from .seeds import derive_seed
 
@@ -107,6 +107,7 @@ def one_shot_prune(
         raise ValidationError(f"ranking method must be one of {METHODS}, got {method!r}")
     if method == "random" and seed is None:
         raise ValidationError("random ranking needs a seed")
+    check_weights(weights, arch)
     plan = resolve_plan(arch, recipe)
 
     kept_indices: dict[int, tuple[int, ...]] = {

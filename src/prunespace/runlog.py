@@ -5,7 +5,9 @@ exactly, so identical runs produce byte-identical files and any record can be
 re-parsed bit-for-bit. Trial logs are append-only JSONL with a header line
 carrying the schema version and a hash of the generating config; indices must
 increase strictly. Checkpoints use a small self-describing binary container
-(JSON header plus raw little-endian tensor bytes) with no timestamps.
+(JSON header plus raw little-endian tensor bytes) with no timestamps. A log
+header, a trial line and a checkpoint header are each a spec, written by
+`spec_to_json` and read back strictly by `spec_from_json`.
 Whole files are written through `write_atomic`, so none is ever left half
 written by a killed process.
 """
@@ -16,15 +18,16 @@ import json
 import logging
 import math
 import os
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import DistributionSummary, EDFCurve, RegimeRow, SpaceComparison, TrialRecord
-from .cost import CostReport
-from .errors import LogError, ValidationError
+from .errors import LogError, SchemaError, ValidationError
 from .network import NetworkWeights
+from .schema import spec_from_json, spec_to_json
 
 
 log = logging.getLogger("prunespace")
@@ -113,46 +116,31 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 # -- trial records ------------------------------------------------------------
 
 
-def trial_to_json(t: TrialRecord) -> dict:
-    return {
-        "index": t.index,
-        "recipe": list(t.recipe),
-        "arch": t.arch,
-        "cost": t.cost.to_json(),
-        "recipe_std": t.recipe_std,
-        "accuracy_drop": None if t.diverged else t.accuracy_drop,
-        "diverged": t.diverged,
-        "schedule": t.schedule_kind,
-        "epochs": t.epochs,
-        "seed": t.seed,
-    }
+trial_to_json = TrialRecord.to_json
 
 
 def trial_from_json(doc: Mapping) -> TrialRecord:
+    """The record of one parsed trial line; a legacy line's always-null `wall_time` is dropped."""
+    if isinstance(doc, dict) and "wall_time" in doc:
+        doc = {k: v for k, v in doc.items() if k != "wall_time"}
     try:
-        cost = doc["cost"]
-        drop = doc["accuracy_drop"]
-        diverged = bool(doc["diverged"])
-        return TrialRecord(
-            index=int(doc["index"]),
-            recipe=tuple(float(r) for r in doc["recipe"]),
-            arch=str(doc["arch"]),
-            cost=CostReport(
-                flops=int(cost["flops"]),
-                params=int(cost["params"]),
-                c_flops=float(cost["c_flops"]),
-                c_params=float(cost["c_params"]),
-                mcb=float(cost["mcb"]),
-            ),
-            recipe_std=float(doc["recipe_std"]),
-            accuracy_drop=math.inf if diverged else float(drop),
-            schedule_kind=str(doc["schedule"]),
-            epochs=int(doc["epochs"]),
-            seed=int(doc["seed"]),
-            diverged=diverged,
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise LogError(f"bad trial record: {e}") from e
+        return spec_from_json(TrialRecord, doc)
+    except SchemaError as e:
+        raise LogError(str(e)) from e
+
+
+@dataclass(frozen=True)
+class LogHeader:
+    """Line 1 of a trial log: its schema version and the hash of the config that wrote it."""
+
+    schema_version: int
+    config_hash: str
+
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValidationError(
+                f"schema_version {self.schema_version} unsupported (expected {SCHEMA_VERSION})"
+            )
 
 
 class TrialLog:
@@ -181,15 +169,14 @@ class TrialLog:
                     "resume with the original config, or use a fresh log path"
                 )
         else:
-            header = {"schema_version": SCHEMA_VERSION, "config_hash": want}
-            write_atomic(self.path, canonical_json(header) + "\n")
+            write_atomic(self.path, canonical_json(spec_to_json(LogHeader(SCHEMA_VERSION, want))) + "\n")
 
     def append(self, record: TrialRecord) -> None:
         last = self.records[-1].index if self.records else -1
         if record.index <= last:
             raise LogError(f"record index {record.index} not greater than last index {last}")
         with open(self.path, "a") as f:
-            f.write(canonical_json(trial_to_json(record)) + "\n")
+            f.write(canonical_json(record.to_json()) + "\n")
         self.records.append(record)
 
 
@@ -199,7 +186,7 @@ def read_trials(path: str | Path) -> tuple[dict, list[TrialRecord]]:
     if not path.exists():
         raise LogError(f"no trial log at {path}")
     records: list[TrialRecord] = []
-    header: dict | None = None
+    header: LogHeader | None = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -207,22 +194,13 @@ def read_trials(path: str | Path) -> tuple[dict, list[TrialRecord]]:
                 continue
             try:
                 doc = json.loads(line)
+                if lineno == 1:
+                    header = spec_from_json(LogHeader, doc)
+                    continue
+                record = trial_from_json(doc)
             except json.JSONDecodeError as e:
                 raise LogError(f"not valid JSON: {e.msg}", line=lineno) from e
-            if lineno == 1:
-                if not isinstance(doc, dict) or "schema_version" not in doc:
-                    raise LogError("first line must be the log header", line=1)
-                if doc["schema_version"] != SCHEMA_VERSION:
-                    raise LogError(
-                        f"schema version {doc['schema_version']} unsupported "
-                        f"(expected {SCHEMA_VERSION})",
-                        line=1,
-                    )
-                header = doc
-                continue
-            try:
-                record = trial_from_json(doc)
-            except LogError as e:
+            except ValidationError as e:
                 raise LogError(str(e), line=lineno) from e
             if records and record.index <= records[-1].index:
                 raise LogError(
@@ -232,64 +210,82 @@ def read_trials(path: str | Path) -> tuple[dict, list[TrialRecord]]:
             records.append(record)
     if header is None:
         raise LogError("log is empty (missing header)", line=1)
-    return header, records
+    return spec_to_json(header), records
 
 
 # -- checkpoints ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckpointEntry:
+    """One tensor of a checkpoint: its place in the weights, its shape, and its body bytes."""
+
+    layer: int
+    role: str
+    shape: tuple[int, ...]
+    offset: int
+    nbytes: int
+
+    to_json = spec_to_json
+
+
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """The JSON line between a checkpoint's magic and its tensor bytes."""
+
+    version: int
+    arch: str
+    dtype: str
+    meta: dict
+    entries: tuple[CheckpointEntry, ...]
+
+    def __post_init__(self):
+        if self.version != SCHEMA_VERSION:
+            raise ValidationError(f"version {self.version} unsupported (expected {SCHEMA_VERSION})")
+        if self.dtype not in _DTYPES:
+            raise ValidationError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
+        itemsize = np.dtype(_DTYPES[self.dtype]).itemsize
+        for i, e in enumerate(self.entries):
+            if e.offset < 0 or min(e.shape, default=0) < 0 or e.nbytes != math.prod(e.shape) * itemsize:
+                raise ValidationError(
+                    f"entries[{i}] must lie at offset >= 0 with nbytes = prod(shape) * {itemsize}, "
+                    f"got offset {e.offset}, shape {list(e.shape)}, nbytes {e.nbytes}"
+                )
 
 
 def save_checkpoint(
     path: str | Path, weights: NetworkWeights, meta: Mapping | None = None
 ) -> None:
     """Versioned binary container; identical weights give identical bytes."""
-    entries = []
-    blobs = []
-    offset = 0
-    dtype_name = np.dtype(weights.dtype).name
-    if dtype_name not in _DTYPES:
-        raise ValidationError(f"checkpoint dtype must be float32/float64, got {dtype_name}")
+    dtype = np.dtype(weights.dtype)
+    entries, offset = [], 0
     for lid, role, a in weights.items():
-        raw = np.ascontiguousarray(a, dtype=_DTYPES[dtype_name]).tobytes()
-        entries.append(
-            {"layer": lid, "role": role, "shape": list(a.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        blobs.append(raw)
-        offset += len(raw)
-    header = {
-        "version": SCHEMA_VERSION,
-        "arch": weights.arch_name,
-        "dtype": dtype_name,
-        "meta": dict(meta) if meta else {},
-        "entries": entries,
-    }
-    write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(header).encode(), b"\n", *blobs]))
+        entries.append(CheckpointEntry(lid, role, a.shape, offset, a.size * dtype.itemsize))
+        offset += entries[-1].nbytes
+    header = CheckpointHeader(SCHEMA_VERSION, weights.arch_name, dtype.name, dict(meta or {}), tuple(entries))
+    blobs = [np.ascontiguousarray(a, dtype=_DTYPES[dtype.name]).tobytes() for _, _, a in weights.items()]
+    write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(spec_to_json(header)).encode(), b"\n", *blobs]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, dict]:
     path = Path(path)
     with open(path, "rb") as f:
-        magic = f.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
+        if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValidationError(f"{path} is not a checkpoint (bad magic)")
         header_line = f.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: corrupt checkpoint header") from e
-        if header.get("version") != SCHEMA_VERSION:
-            raise ValidationError(f"{path}: unsupported checkpoint version {header.get('version')}")
         body = f.read()
-    dtype = _DTYPES.get(header.get("dtype"))
-    if dtype is None:
-        raise ValidationError(f"{path}: unknown checkpoint dtype {header.get('dtype')}")
+    try:
+        header = spec_from_json(CheckpointHeader, header_line)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from e
     tensors: dict[int, dict[str, np.ndarray]] = {}
-    for e in header["entries"]:
-        raw = body[e["offset"] : e["offset"] + e["nbytes"]]
-        if len(raw) != e["nbytes"]:
+    for e in header.entries:
+        raw = body[e.offset : e.offset + e.nbytes]
+        if len(raw) != e.nbytes:
             raise ValidationError(f"{path}: truncated checkpoint body")
-        a = np.frombuffer(raw, dtype=dtype).reshape(e["shape"]).copy()
-        tensors.setdefault(int(e["layer"]), {})[e["role"]] = a
-    return NetworkWeights(tensors, header.get("arch", "")), header.get("meta", {})
+        a = np.frombuffer(raw, dtype=_DTYPES[header.dtype]).reshape(e.shape).copy()
+        tensors.setdefault(e.layer, {})[e.role] = a
+    return NetworkWeights(tensors, header.arch), header.meta
 
 
 # -- report CSVs ----------------------------------------------------------------
@@ -307,70 +303,46 @@ def _csv_line(values: Iterable) -> str:
     return ",".join(cells)
 
 
+def _csv(header: str, rows: Iterable[Iterable]) -> str:
+    """A CSV document: the header, then one line per row."""
+    return "".join(f"{line}\n" for line in [header, *map(_csv_line, rows)])
+
+
 def edf_csv(curve: EDFCurve) -> str:
-    lines = ["accuracy_drop,fraction_below,fraction_at_or_below"]
-    for value in curve.drops:
-        if math.isinf(value):
-            continue
-        v = float(value)
-        lines.append(_csv_line([v, curve.fraction_below(v), curve.fraction_at_or_below(v)]))
-    return "\n".join(lines) + "\n"
+    finite = [float(v) for v in curve.drops if not math.isinf(v)]
+    return _csv(
+        "accuracy_drop,fraction_below,fraction_at_or_below",
+        ([v, curve.fraction_below(v), curve.fraction_at_or_below(v)] for v in finite),
+    )
 
 
 def summary_csv(summary: DistributionSummary) -> str:
-    lines = ["stat,value"]
-    lines.append(_csv_line(["n", summary.n]))
-    for name in ("minimum", "q1", "median", "q3", "maximum"):
-        lines.append(_csv_line([name, getattr(summary, name)]))
-    return "\n".join(lines) + "\n"
+    stats = ("n", "minimum", "q1", "median", "q3", "maximum")
+    return _csv("stat,value", ([name, getattr(summary, name)] for name in stats))
 
 
 def histogram_csv(summary: DistributionSummary) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, count in zip(summary.bin_edges, summary.bin_edges[1:], summary.counts):
-        lines.append(_csv_line([lo, hi, count]))
-    return "\n".join(lines) + "\n"
+    return _csv("bin_lo,bin_hi,count", zip(summary.bin_edges, summary.bin_edges[1:], summary.counts))
 
 
 def winners_csv(winners: Sequence[TrialRecord]) -> str:
-    lines = ["rank,index,accuracy_drop,c_flops,c_params,mcb,recipe_std,seed,epochs,schedule,recipe"]
-    for rank, t in enumerate(winners, start=1):
-        recipe = ";".join(_format_float(r) for r in t.recipe)
-        drop = "inf" if t.diverged else _format_float(t.accuracy_drop)
-        lines.append(
-            _csv_line(
-                [rank, t.index, drop, t.cost.c_flops, t.cost.c_params, t.cost.mcb,
-                 t.recipe_std, t.seed, t.epochs, t.schedule_kind, recipe]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [rank, t.index, "inf" if t.diverged else t.accuracy_drop, t.cost.c_flops, t.cost.c_params,
+         t.cost.mcb, t.recipe_std, t.seed, t.epochs, t.schedule, ";".join(map(_format_float, t.recipe))]
+        for rank, t in enumerate(winners, start=1)
+    )
+    return _csv("rank,index,accuracy_drop,c_flops,c_params,mcb,recipe_std,seed,epochs,schedule,recipe", rows)
 
 
 def regimes_csv(rows: Sequence[RegimeRow]) -> str:
-    lines = [
-        "target_cflops,flops_reduction,winner_mcb_q1,winner_mcb_median,winner_mcb_q3,"
-        "best_drop,uniform_mcb"
-    ]
-    for r in rows:
-        lines.append(
-            _csv_line(
-                [r.target_cflops, r.flops_reduction, r.winner_mcb_q1, r.winner_mcb_median,
-                 r.winner_mcb_q3, r.best_drop, r.uniform_mcb]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    names = [f.name for f in fields(RegimeRow)]
+    return _csv(",".join(names), ([getattr(r, name) for name in names] for r in rows))
 
 
 def compare_csv(report: SpaceComparison) -> str:
-    lines = ["space_a,space_b,quantile,drop_at_quantile,edf_a,edf_b,edf_diff,a_dominates_at_median"]
-    for pair in report.pairs:
-        for level, point, fa, fb, diff in zip(
-            pair.quantile_levels, pair.drop_points, pair.edf_a, pair.edf_b, pair.diffs
-        ):
-            lines.append(
-                _csv_line(
-                    [pair.space_a, pair.space_b, level, point, fa, fb, diff,
-                     str(pair.a_dominates_at_median).lower()]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [pair.space_a, pair.space_b, *cells, str(pair.a_dominates_at_median).lower()]
+        for pair in report.pairs
+        for cells in zip(pair.quantile_levels, pair.drop_points, pair.edf_a, pair.edf_b, pair.diffs)
+    )
+    return _csv("space_a,space_b,quantile,drop_at_quantile,edf_a,edf_b,edf_diff,a_dominates_at_median", rows)

@@ -5,7 +5,9 @@ types its dataclass declares. It never coerces: an `int` field takes an
 integer, a `float` field an integer or a float, no number field takes a bool,
 and values are kept as written. Each violation raises `SchemaError` naming the
 field's path, as in `PipelineConfig.full_schedule.epochs`; range checks are
-left to each class's `__post_init__`. `spec_to_json` writes a spec back.
+left to each class's `__post_init__`, whose `ValidationError` comes out as a
+`SchemaError` prefixed with the spec's path. A `dict` field takes any JSON
+object, as is. `spec_to_json` writes a spec back.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import json
 import typing
 from typing import Mapping
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 
 def is_int(value) -> bool:
@@ -29,6 +31,7 @@ _SCALARS = {  # declared type -> (test, what a value of it must be)
     float: (lambda v: isinstance(v, float) or is_int(v), "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
 }
 
 
@@ -83,7 +86,10 @@ def _parse(cls, doc, path: str):
             kwargs[name] = _value(tp, doc[name], f"{path}.{name}")
         elif required:
             raise SchemaError(f"{path} misses the required field {name!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def spec_from_json(cls, doc: str | bytes | Mapping):
@@ -99,9 +105,11 @@ def spec_from_json(cls, doc: str | bytes | Mapping):
 def _json_value(value):
     if dataclasses.is_dataclass(value):
         return value.to_json()
-    return list(value) if isinstance(value, tuple) else value
+    if isinstance(value, tuple):  # a tuple holds specs or plain values, never both
+        return [v.to_json() for v in value] if value and dataclasses.is_dataclass(value[0]) else list(value)
+    return value
 
 
 def spec_to_json(spec) -> dict:
-    """A spec's JSON object: keys in field order, tuples as lists, nested specs by their `to_json`."""
+    """A spec's JSON object: keys in field order, tuples as lists, specs by their `to_json`."""
     return {f.name: _json_value(getattr(spec, f.name)) for f in dataclasses.fields(spec)}

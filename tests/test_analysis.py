@@ -31,7 +31,7 @@ def _trial(index, drop, c_flops=0.5, mcb=0.9, seed=0, std=0.05):
         cost=cost,
         recipe_std=std,
         accuracy_drop=drop,
-        schedule_kind="finetune",
+        schedule="finetune",
         epochs=2,
         seed=seed,
         diverged=diverged,
@@ -49,7 +49,7 @@ def test_trial_record_divergence_invariant():
     with pytest.raises(ValidationError):
         TrialRecord(
             index=0, recipe=(0.5,), arch="a", cost=CostReport(1, 1, 0.5, 0.5, 1.0),
-            recipe_std=0.0, accuracy_drop=1.0, schedule_kind="finetune", epochs=1,
+            recipe_std=0.0, accuracy_drop=1.0, schedule="finetune", epochs=1,
             seed=0, diverged=True,
         )
 

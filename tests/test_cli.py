@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from prunespace import (
     save_checkpoint,
     scratch_schedule,
 )
+from prunespace import cost
 from prunespace.cli import main
 
 
@@ -121,6 +123,25 @@ def test_sample_deterministic_jsonl(tmp_path, capsys):
     assert out_file.read_text() == first
 
 
+def test_sample_calls_share_one_cost_table(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingTable(cost.CostTable):
+        def __init__(self, arch):
+            built.append(arch.name)
+            super().__init__(arch)
+
+    monkeypatch.setattr(cost, "CostTable", CountingTable)
+    monkeypatch.setattr(cost, "_TABLES", weakref.WeakKeyDictionary())
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"target_cflops": 0.5}))
+    for _ in range(2):
+        code, _ = _run(capsys, "sample", "--arch", "resnet50-shape", "--space", str(space), "--n", "2")
+        assert code == 0
+    assert built == ["resnet50-shape"]
+    assert builtin_arch("resnet50-shape") is builtin_arch("resnet50-shape")
+
+
 def test_sample_infeasible_exits_4(tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"target_cflops": 0.30, "delta": 0.0001, "std_cap": 0.0}))
@@ -197,7 +218,8 @@ def _write_trials(path, drops, label_seed=0):
                 cost=CostReport(6942, 153, 6942 / 20796, 153 / 404, (6942 / 20796) / (153 / 404)),
                 recipe_std=0.1,
                 accuracy_drop=float(drop),
-                schedule_kind="finetune",
+                diverged=False,
+                schedule="finetune",
                 epochs=2,
                 seed=label_seed,
             )
@@ -295,3 +317,128 @@ def test_pipeline_cli_with_seed_override(tmp_path, capsys, monkeypatch):
     assert (out_dir / "winners.json").exists()
     stored = json.loads((out_dir / "config.json").read_text())
     assert pipeline_config_from_json(stored).seed == 2
+
+
+# -- malformed read-back documents ------------------------------------------------
+
+_TRIAL_LINE = {
+    "index": 0, "recipe": [0.4, 0.6], "arch": "chain3",
+    "cost": {"flops": 6942, "params": 153, "c_flops": 0.25, "c_params": 0.5, "mcb": 0.5},
+    "recipe_std": 0.1, "accuracy_drop": 1.5, "diverged": False, "schedule": "finetune",
+    "epochs": 2, "seed": 0,
+}
+
+_DIVERGENCE_RULE = "TrialRecord: accuracy_drop must be null or inf exactly when the trial diverged"
+
+# Each is (fields set on a valid trial line, text the refusal must name). Before
+# trial lines were read as specs, "diverged": "false" read as a diverged trial,
+# and the next six were coerced or silently accepted.
+_MALFORMED_TRIALS = [
+    ({"diverged": "false"}, "TrialRecord.diverged must be true or false"),
+    ({"index": 2.7}, "TrialRecord.index must be an integer"),
+    ({"index": "3"}, "TrialRecord.index must be an integer"),
+    ({"epochs": True}, "TrialRecord.epochs must be an integer"),
+    ({"seed": 1.9}, "TrialRecord.seed must be an integer"),
+    ({"accuracy_drop": "1.5"}, "TrialRecord.accuracy_drop must be a number"),
+    ({"diverged": True, "accuracy_drop": 3.0}, _DIVERGENCE_RULE),
+    ({"bogus": 1}, "TrialRecord has unknown fields ['bogus']"),
+    ({"accuracy_drop": None}, _DIVERGENCE_RULE),
+    ({"accuracy_drop": float("inf")}, _DIVERGENCE_RULE),
+]
+
+# Each is (the header line of a trial log, text the refusal must name).
+_MALFORMED_HEADERS = [
+    ({"schema_version": 1}, "LogHeader misses the required field 'config_hash'"),
+    ({"schema_version": "1", "config_hash": "0"}, "LogHeader.schema_version must be an integer"),
+]
+
+
+def _exits_3_naming(capsys, caplog, argv, text):
+    with caplog.at_level("ERROR", logger="prunespace"):
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert text in caplog.text
+    assert "Traceback" not in caplog.text + err
+
+
+@pytest.mark.parametrize(
+    "changes, text", _MALFORMED_TRIALS, ids=[json.dumps(c) for c, _ in _MALFORMED_TRIALS]
+)
+def test_malformed_trial_line_exits_3(changes, text, tmp_path, capsys, caplog):
+    path = tmp_path / "t.jsonl"
+    line = json.dumps({**_TRIAL_LINE, **changes})  # json writes inf as Infinity
+    path.write_text('{"schema_version":1,"config_hash":"0"}\n' + line + "\n")
+    _exits_3_naming(capsys, caplog, ["report", "summary", "--trials", str(path)], f"line 2: {text}")
+
+
+@pytest.mark.parametrize(
+    "header, text", _MALFORMED_HEADERS, ids=[json.dumps(h) for h, _ in _MALFORMED_HEADERS]
+)
+def test_malformed_log_header_exits_3(header, text, tmp_path, capsys, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_mini_config_doc()))
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "trials.jsonl").write_text(json.dumps(header) + "\n")
+    argv = ["explore", "--config", str(config), "--out-dir", str(out_dir)]
+    _exits_3_naming(capsys, caplog, argv, f"line 1: {text}")
+
+
+def _edit_checkpoint_header(path, edit):
+    magic, _, rest = path.read_bytes().partition(b"\n")
+    header, _, body = rest.partition(b"\n")
+    doc = json.loads(header)
+    edit(doc)
+    path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + body)
+
+
+# Each is (an edit of a valid checkpoint header, text the refusal must name). Before
+# checkpoint headers were read as specs, the first two ended in a traceback (exit 1).
+_MALFORMED_CHECKPOINTS = [
+    ("no entries", lambda doc: doc.pop("entries"), "CheckpointHeader misses the required field 'entries'"),
+    ("shape off nbytes", lambda doc: doc["entries"][0].update(shape=[3, 4, 3, 2]), "entries[0] must lie"),
+    ("offset string", lambda doc: doc["entries"][0].update(offset="0"),
+     "CheckpointHeader.entries[0].offset must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, text", [c[1:] for c in _MALFORMED_CHECKPOINTS], ids=[c[0] for c in _MALFORMED_CHECKPOINTS]
+)
+def test_malformed_checkpoint_header_exits_3(edit, text, tmp_path, capsys, caplog):
+    ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
+    save_checkpoint(ckpt, init_weights(builtin_arch("chain3"), seed=0))
+    _edit_checkpoint_header(ckpt, edit)
+    recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.5, 0.5]}))
+    argv = [
+        "prune", "--arch", "chain3", "--checkpoint", str(ckpt), "--recipe", str(recipe),
+        "--out-checkpoint", str(tmp_path / "out.ckpt"),
+    ]
+    _exits_3_naming(capsys, caplog, argv, text)
+
+
+def _drop_w(weights):
+    del weights.tensors[1]["w"]
+
+
+def _short_bias(weights):
+    weights.tensors[0]["b"] = weights.tensors[0]["b"][:2]
+
+
+@pytest.mark.parametrize("edit, text", [
+    (_drop_w, "layer 1: weights missing role 'w'"),
+    (_short_bias, "layer 0: b shape (2,) != (4,)"),
+], ids=["no w", "short bias"])
+def test_prune_checkpoint_missing_a_role_exits_3(edit, text, tmp_path, capsys, caplog):
+    weights = init_weights(builtin_arch("chain3"), seed=0)
+    edit(weights)
+    ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
+    save_checkpoint(ckpt, weights)
+    recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.25, 0.5]}))
+    argv = [
+        "prune", "--arch", "chain3", "--checkpoint", str(ckpt), "--recipe", str(recipe),
+        "--out-checkpoint", str(tmp_path / "out.ckpt"),
+    ]
+    _exits_3_naming(capsys, caplog, argv, text)
+    assert not (tmp_path / "out.ckpt").exists()

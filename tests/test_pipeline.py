@@ -164,7 +164,7 @@ def test_screen_candidates_order_and_content(tmp_path, monkeypatch):
         assert rec.recipe == recipe.ratios
         want = network_cost(arch, resolve_plan(arch, rec.recipe))
         assert rec.cost == want
-        assert rec.schedule_kind == "finetune" and rec.epochs == 1
+        assert rec.schedule == "finetune" and rec.epochs == 1
         assert rec.seed == config.seed
 
 
@@ -335,14 +335,12 @@ def test_retrain_top_k(tmp_path, monkeypatch):
     result = retrain_top_k(run, trials)
     assert len(result.finalists) == config.top_k
     for f in result.finalists:
-        assert f.schedule_kind == "finetune" and f.epochs == 2
+        assert f.schedule == "finetune" and f.epochs == 2
         source = trials[f.index]
         assert f.recipe == source.recipe and f.cost == source.cost
         assert (tmp_path / f"finalist_{f.index}.ckpt").exists()
     best = min(result.finalists, key=lambda t: (t.accuracy_drop, t.cost.c_flops, t.seed))
     assert result.winner == best
-    doc = result.to_json()
-    assert set(doc) == {"config", "dense_accuracy", "finalists", "winner"}
     with pytest.raises(ValidationError):
         retrain_top_k(run, trials[:1])
 
@@ -387,6 +385,7 @@ def test_run_pipeline_artifacts(tmp_path, monkeypatch):
     result = run_pipeline(config, tmp_path / "run")
     assert (tmp_path / "run" / "winners.json").exists()
     doc = json.loads((tmp_path / "run" / "winners.json").read_text())
+    assert set(doc) == {"dense_accuracy", "finalists", "winner"}  # config.json holds the config
     assert doc["dense_accuracy"] == result.dense_accuracy
     assert doc["winner"]["index"] == result.winner.index
     assert len(doc["finalists"]) == config.top_k

@@ -1,14 +1,20 @@
+import hashlib
 import json
 import math
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunespace import (
     CostReport,
     LogError,
+    NetworkWeights,
     TrialLog,
     TrialRecord,
     ValidationError,
@@ -31,6 +37,7 @@ from prunespace import (
     winners_csv,
 )
 from prunespace.runlog import write_atomic
+from prunespace.training import KINDS
 
 
 def _trial(index, drop=1.5, seed=0):
@@ -42,7 +49,7 @@ def _trial(index, drop=1.5, seed=0):
         cost=CostReport(6942, 153, 6942 / 20796, 153 / 404, (6942 / 20796) / (153 / 404)),
         recipe_std=0.2,
         accuracy_drop=drop,
-        schedule_kind="finetune",
+        schedule="finetune",
         epochs=2,
         seed=seed,
         diverged=diverged,
@@ -97,10 +104,30 @@ def test_config_hash_is_order_insensitive():
 # -- trial records ---------------------------------------------------------------
 
 
-def test_trial_record_round_trip():
-    t = _trial(3, drop=0.1 + 0.2)
-    doc = json.loads(canonical_json(trial_to_json(t)))
-    assert trial_from_json(doc) == t
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trials(draw, index=st.integers(0, 2**40)):
+    diverged = draw(st.booleans())
+    return TrialRecord(
+        index=draw(index),
+        recipe=tuple(draw(st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=8))),
+        arch=draw(st.text(max_size=12)),
+        cost=draw(st.builds(CostReport, st.integers(1, 2**53), st.integers(1, 2**53), _finite, _finite, _finite)),
+        recipe_std=draw(_finite),
+        accuracy_drop=math.inf if diverged else draw(_finite),
+        diverged=diverged,
+        schedule=draw(st.sampled_from(KINDS)),
+        epochs=draw(st.integers(1, 1000)),
+        seed=draw(st.integers(-(2**63), 2**64)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_trials())
+def test_trial_record_round_trip(t):
+    assert trial_from_json(json.loads(canonical_json(trial_to_json(t)))) == t
 
 
 def test_diverged_trial_round_trip():
@@ -125,6 +152,8 @@ def test_trial_lines_without_and_with_wall_time():
 def test_trial_from_json_rejects_malformed():
     with pytest.raises(LogError):
         trial_from_json({"index": 0})
+    with pytest.raises(LogError, match="misses the required field 'diverged'"):
+        trial_from_json({k: v for k, v in trial_to_json(_trial(0)).items() if k != "diverged"})
     doc = trial_to_json(_trial(0))
     doc["cost"] = "cheap"
     with pytest.raises(LogError):
@@ -134,18 +163,22 @@ def test_trial_from_json_rejects_malformed():
 # -- trial logs -------------------------------------------------------------------
 
 
-def test_trial_log_round_trip(tmp_path):
-    path = tmp_path / "trials.jsonl"
-    config = {"arch": "chain3", "n": 4}
-    log = TrialLog(path, config)
-    records = [_trial(i, drop=0.5 * i) for i in range(4)]
-    for r in records:
-        log.append(r)
-    header, back = read_trials(path)
-    assert header["schema_version"] == 1
-    assert header["config_hash"] == config_hash(config)
-    assert back == records
-    assert log.records == records
+@settings(max_examples=50, deadline=None)
+@given(
+    indices=st.lists(st.integers(0, 10_000), unique=True, max_size=6).map(sorted),
+    data=st.data(),
+)
+def test_trial_log_round_trip(indices, data):
+    records = [data.draw(_trials(index=st.just(i))) for i in indices]
+    config = {"arch": "chain3", "n": len(indices)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.jsonl"
+        log = TrialLog(path, config)
+        for r in records:
+            log.append(r)
+        header, back = read_trials(path)
+        assert header == {"schema_version": 1, "config_hash": config_hash(config)}
+        assert back == records == log.records == TrialLog(path, config).records
 
 
 def test_trial_log_enforces_index_order(tmp_path):
@@ -300,17 +333,40 @@ def test_trial_log_scales(tmp_path):
 # -- checkpoints ------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip(tmp_path):
-    arch = builtin_arch("resnet-tiny")
-    weights = init_weights(arch, seed=0)
-    path = tmp_path / "w.ckpt"
-    save_checkpoint(path, weights, meta={"val_accuracy": 0.97, "note": "dense"})
-    back, meta = load_checkpoint(path)
-    assert meta == {"val_accuracy": 0.97, "note": "dense"}
-    assert back.arch_name == "resnet-tiny"
-    assert back.dtype == np.float32
-    for (lid, role, a), (_, _, b) in zip(weights.items(), back.items()):
-        assert np.array_equal(a, b), (lid, role)
+_meta = st.dictionaries(
+    st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=8) | st.lists(st.integers(), max_size=3),
+    max_size=4,
+)
+
+
+@st.composite
+def _weights(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    tensors = {}
+    for lid in draw(st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True)):
+        roles = ["w"] + draw(st.lists(st.sampled_from(["b", "scale", "shift"]), unique=True))
+        tensors[lid] = {
+            role: rng.normal(size=draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))).astype(dtype)
+            for role in roles
+        }
+    return NetworkWeights(tensors, draw(st.text(max_size=12)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(weights=_weights(), meta=_meta)
+def test_checkpoint_round_trip(weights, meta):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_checkpoint(first, weights, meta=meta)
+        back, back_meta = load_checkpoint(first)
+        assert back_meta == meta and back.arch_name == weights.arch_name
+        assert [(lid, role) for lid, role, _ in back.items()] == [(lid, role) for lid, role, _ in weights.items()]
+        for (_, _, a), (_, _, b) in zip(weights.items(), back.items()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        save_checkpoint(second, back, meta=back_meta)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_checkpoint_float64_and_default_meta(tmp_path):
@@ -347,6 +403,60 @@ def test_checkpoint_rejects_bad_inputs(tmp_path):
     (tmp_path / "truncated.ckpt").write_bytes(data[:-16])
     with pytest.raises(ValidationError):
         load_checkpoint(tmp_path / "truncated.ckpt")
+
+
+# -- pinned bytes ---------------------------------------------------------------
+
+
+def _pinned_trial(index, drop, seed, kind="finetune", epochs=2):
+    return TrialRecord(
+        index=index,
+        recipe=(0.1 + index * 1e-9, 0.5, 1 / 3),
+        arch="chain3",
+        cost=CostReport(6942, 153, 6942 / 20796, 153 / 404, (6942 / 20796) / (153 / 404)),
+        recipe_std=0.2,
+        accuracy_drop=drop,
+        diverged=math.isinf(drop),
+        schedule=kind,
+        epochs=epochs,
+        seed=seed,
+    )
+
+
+def _format_bytes(tmp: Path) -> dict[str, bytes]:
+    log = TrialLog(tmp / "t.jsonl", {"arch": "chain3", "n": 3})
+    for r in (_pinned_trial(0, -0.25, 1), _pinned_trial(1, math.inf, 1), _pinned_trial(2, 12.5, 1)):
+        log.append(r)
+    save_checkpoint(
+        tmp / "a.ckpt", init_weights(builtin_arch("chain3"), 0), meta={"val_accuracy": 0.97, "note": "dense"}
+    )
+    save_checkpoint(
+        tmp / "b.ckpt",
+        init_weights(builtin_arch("resnet-tiny"), 1, dtype=np.float64),
+        meta={"dense_key": "0123456789abcdef", "val_accuracy": 0.5, "nested": {"rank": [1, 2]}},
+    )
+    return {
+        "trial.finite": canonical_json(trial_to_json(_pinned_trial(3, 0.1 + 0.2, 0))).encode(),
+        "trial.diverged": canonical_json(trial_to_json(_pinned_trial(7, math.inf, 5, "scratch", 3))).encode(),
+        "log": (tmp / "t.jsonl").read_bytes(),
+        "ckpt.chain3.float32": (tmp / "a.ckpt").read_bytes(),
+        "ckpt.resnet-tiny.float64": (tmp / "b.ckpt").read_bytes(),
+    }
+
+
+# sha256 of each format's bytes, as the hand-written emitters wrote them
+_FORMAT_DIGESTS = {
+    "trial.finite": "f30da929e5d6faa48b5b69addd5839a3fe673bacc26acc18918a6211deeb269b",
+    "trial.diverged": "d5a29ed30b6a9e9d1b3b0c3c07c875de6671e9d11d57a93b776bb1de8eef50bb",
+    "log": "a4fbf289e3c8cc3e17bfac23ea61ae52348927ddbc751233c7ebafba48a91baa",
+    "ckpt.chain3.float32": "fdb62664b64053d5217172e88087d7a578f067b427e07d1b90d91f6bb16f20f5",
+    "ckpt.resnet-tiny.float64": "f761c97dba3fa06547b783ea1bdab4f90e4f43e2a44fc8053b227366eb6bc987",
+}
+
+
+def test_format_bytes_are_pinned(tmp_path):
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in _format_bytes(tmp_path).items()}
+    assert got == _FORMAT_DIGESTS
 
 
 # -- CSVs ----------------------------------------------------------------------
