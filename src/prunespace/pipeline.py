@@ -25,16 +25,19 @@ byte-identical artifacts. Screening and finalist retraining share one
 per-candidate step, which fans out across a pool of forked processes (one per
 CPU this process may run on, capped by the PRUNESPACE_WORKERS environment
 variable); results are taken in candidate order, so parallel and serial runs
-emit identical logs, reports and checkpoints. Each worker caps numpy's
-OpenBLAS to one thread, so the workers do not oversubscribe the cores; the
-parent keeps its own setting. Where OpenBLAS exports no thread-count call, the
-workers keep the library's default and one warning is logged. Wall-clock
+emit identical logs, reports and checkpoints. A run holds numpy's OpenBLAS
+at one thread from start to end and then restores the caller's count, so the
+workers it forks inherit one thread each and do not oversubscribe the cores;
+a second thread buys in-process training nothing at these sizes. Where
+OpenBLAS exports no thread-count call, runs and workers keep the library's
+default and one warning is logged. Wall-clock
 timings are observations, not outputs: each is appended to the plain-text
 sidecar `timings.txt` (`phase<TAB>index<TAB>seconds`) as soon as it is
 measured, and the sidecar is excluded from all determinism guarantees.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import logging
@@ -273,7 +276,7 @@ def _openblas_threads_api() -> tuple[Callable[[int], None], Callable[[], int]] |
             return setter, getter
     log.warning(
         "numpy's BLAS exports no OpenBLAS thread-count call; "
-        "pool workers keep its default thread count"
+        "runs and pool workers keep its default thread count"
     )
     return None
 
@@ -284,16 +287,33 @@ def blas_threads() -> int | None:
     return api[1]() if api is not None else None
 
 
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold OpenBLAS at one thread in this process; restore its count on exit."""
+    api = _openblas_threads_api()
+    before = api[1]() if api is not None else 1  # without the call, leave BLAS alone
+    if before != 1:
+        api[0](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            api[0](before)
+
+
 _worker_state: tuple[PipelineConfig, DenseBaseline] | None = None
 
 
 def _init_worker(config: PipelineConfig | None, baseline: DenseBaseline | None) -> None:
     # One BLAS thread per worker: the pool already keeps every core busy, and
-    # OpenBLAS threads in each of several workers oversubscribe the cores.
+    # OpenBLAS threads in each of several workers oversubscribe the cores. A
+    # worker forked inside a run inherits one thread already, and must not
+    # call the setter: in a fresh fork it restarts OpenBLAS's thread server,
+    # whose helper thread then spins on a core the other workers need.
     global _worker_state
     _worker_state = (config, baseline)
     api = _openblas_threads_api()
-    if api is not None:
+    if api is not None and api[1]() != 1:
         api[0](1)
 
 
@@ -307,7 +327,7 @@ def _candidate_pool(
     config: PipelineConfig | None, baseline: DenseBaseline | None, workers: int
 ) -> ProcessPoolExecutor:
     """Worker pool whose processes hold the run's config and baseline and run
-    one BLAS thread each.
+    one BLAS thread each, inherited from a run or set by the worker.
 
     Workers are forked where the platform can: a fork child inherits the
     baseline's arrays and numpy's import without pickling or re-importing.
@@ -503,11 +523,13 @@ def _screen(run: RunDir) -> list[TrialRecord]:
     return trials
 
 
+@_one_blas_thread()
 def explore_space(config: PipelineConfig, out_dir: str | Path) -> list[TrialRecord]:
     """Population screening without winner retraining: trial log plus report CSVs."""
     return _screen(RunDir(out_dir, config))
 
 
+@_one_blas_thread()
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """All three phases; resumable; byte-identical artifacts on rerun."""
     run = RunDir(out_dir, config)

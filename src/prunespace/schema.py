@@ -2,8 +2,9 @@
 
 `spec_from_json(cls, doc)` builds a spec from a JSON object by the fields and
 types its dataclass declares. It never coerces: an `int` field takes an
-integer, a `float` field an integer or a float, no number field takes a bool,
-and values are kept as written. Each violation raises `SchemaError` naming the
+integer, a `float` field an integer or a finite float (never JSON's `NaN` or
+`Infinity`, which Python's `json` reads), no number field takes a bool, and
+values are kept as written. Each violation raises `SchemaError` naming the
 field's path, as in `PipelineConfig.full_schedule.epochs`; range checks are
 left to each class's `__post_init__`, whose `ValidationError` comes out as a
 `SchemaError` prefixed with the spec's path. A `dict` field takes any JSON
@@ -15,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import typing
 from typing import Mapping
 
@@ -28,7 +30,7 @@ def is_int(value) -> bool:
 
 _SCALARS = {  # declared type -> (test, what a value of it must be)
     int: (is_int, "an integer"),
-    float: (lambda v: isinstance(v, float) or is_int(v), "a number"),
+    float: (lambda v: (isinstance(v, float) and math.isfinite(v)) or is_int(v), "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     dict: (lambda v: isinstance(v, dict), "a JSON object"),
@@ -65,8 +67,11 @@ def _value(tp, value, path: str):
     if type(None) in args:  # `X | None`, the only union a spec declares
         return None if value is None else _value(args[0], value, path)
     variadic = args[-1] is ...  # the rest are tuples, `tuple[X, ...]` or fixed
-    if variadic and args[0] is float and isinstance(value, list) and set(map(type, value)) <= {float, int}:
-        return tuple(value)  # a recipe's ratios: one pass, no check per item
+    if (
+        variadic and args[0] is float and isinstance(value, list)
+        and set(map(type, value)) == {float} and all(map(math.isfinite, value))
+    ):
+        return tuple(value)  # a recipe's ratios: no check in Python per item
     if not isinstance(value, list) or not (variadic or len(value) == len(args)):
         raise _mismatch(path, "a list" if variadic else f"a list of {len(args)} items", value)
     items = itertools.repeat(args[0]) if variadic else args

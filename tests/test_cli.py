@@ -332,7 +332,8 @@ _DIVERGENCE_RULE = "TrialRecord: accuracy_drop must be null or inf exactly when 
 
 # Each is (fields set on a valid trial line, text the refusal must name). Before
 # trial lines were read as specs, "diverged": "false" read as a diverged trial,
-# and the next six were coerced or silently accepted.
+# and the next six were coerced or silently accepted. Before float fields
+# refused JSON's non-finite tokens, the last two read back.
 _MALFORMED_TRIALS = [
     ({"diverged": "false"}, "TrialRecord.diverged must be true or false"),
     ({"index": 2.7}, "TrialRecord.index must be an integer"),
@@ -343,7 +344,9 @@ _MALFORMED_TRIALS = [
     ({"diverged": True, "accuracy_drop": 3.0}, _DIVERGENCE_RULE),
     ({"bogus": 1}, "TrialRecord has unknown fields ['bogus']"),
     ({"accuracy_drop": None}, _DIVERGENCE_RULE),
-    ({"accuracy_drop": float("inf")}, _DIVERGENCE_RULE),
+    ({"accuracy_drop": float("inf")}, "TrialRecord.accuracy_drop must be a number, got Infinity"),
+    ({"recipe_std": float("nan")}, "TrialRecord.recipe_std must be a number, got NaN"),
+    ({"recipe": [0.4, float("inf")]}, "TrialRecord.recipe[1] must be a number, got Infinity"),
 ]
 
 # Each is (the header line of a trial log, text the refusal must name).

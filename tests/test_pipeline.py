@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -290,9 +291,10 @@ def test_pool_workers_run_one_blas_thread():
 
 
 def test_training_bytes_do_not_depend_on_blas_threads():
-    # Pool workers train at one BLAS thread and the serial parent at its
-    # default, so pooled and serial runs match only if the kernels' GEMMs give
-    # the same bytes at any thread count.
+    # A run trains at one BLAS thread where OpenBLAS exports its thread-count
+    # call and at the library's default where it does not, and `train` called
+    # outside a run uses the caller's setting; all of them agree only if the
+    # kernels' GEMMs give the same bytes at any thread count.
     api = pipeline._openblas_threads_api()
     if api is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
@@ -312,6 +314,67 @@ def test_training_bytes_do_not_depend_on_blas_threads():
     assert get_threads() == before
     for (lid, role, a), (_, _, b) in zip(trained[0].items(), trained[1].items()):
         assert a.tobytes() == b.tobytes(), (lid, role)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """This process at two OpenBLAS threads, as on a machine with several cores."""
+    api = pipeline._openblas_threads_api()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
+    set_threads, get_threads = api
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def test_run_holds_one_blas_thread_and_restores_it(tmp_path, monkeypatch, two_blas_threads):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    seen = []
+    real_train = pipeline.train
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", spy)
+    run_pipeline(_mini_config(n=2, top_k=1), tmp_path / "run")
+    assert seen == [1] * 4  # dense, two screened, one finalist
+    assert blas_threads() == 2
+
+    def failing(*args, **kwargs):
+        seen.append(blas_threads())
+        raise RuntimeError("injected training fault")
+
+    monkeypatch.setattr(pipeline, "train", failing)
+    with pytest.raises(RuntimeError, match="injected training fault"):
+        explore_space(_mini_config(n=2, top_k=1), tmp_path / "failed")
+    assert seen[4:] == [1]
+    assert blas_threads() == 2
+
+
+def test_pool_workers_forked_in_a_run_keep_one_os_thread(tmp_path, monkeypatch, two_blas_threads):
+    # Setting the thread count in a fresh fork restarts OpenBLAS's thread
+    # server, whose helper thread busy-waits on a core the other workers need;
+    # a worker forked inside a run inherits one thread and starts no server.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count this process's OS threads")
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
+    parent, real = os.getpid(), pipeline._train_candidate
+
+    def counting(config, baseline, full, index, ratios):
+        result = real(config, baseline, full, index, ratios)  # trains: GEMMs on this process's BLAS
+        assert os.getpid() != parent
+        (tmp_path / f"threads_{index}").write_text(str(len(os.listdir("/proc/self/task"))))
+        return result
+
+    monkeypatch.setattr(pipeline, "_train_candidate", counting)
+    explore_space(_mini_config(), tmp_path / "run")
+    counts = {p.name: int(p.read_text()) for p in tmp_path.glob("threads_*")}
+    assert counts == {f"threads_{i}": 1 for i in range(4)}
 
 
 def test_pool_without_blas_thread_call_warns_once(monkeypatch, caplog):
@@ -579,6 +642,27 @@ def test_rerun_survives_write_fault(tmp_path, monkeypatch, finished_run, target)
     shutil.copytree(finished_run, out)
     name = _run_with_fault(monkeypatch, out, target)
     assert (out / name).read_bytes() == (finished_run / name).read_bytes()
+    run_pipeline(_mini_config(), out)
+    assert _artifacts(out) == _artifacts(finished_run)
+
+
+def test_killed_pool_worker_breaks_the_run_and_a_rerun_converges(tmp_path, monkeypatch, finished_run):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
+    parent, real = os.getpid(), pipeline._train_candidate
+
+    def dying(config, baseline, full, index, ratios):
+        if index == 1 and os.getpid() != parent:
+            os._exit(1)
+        return real(config, baseline, full, index, ratios)
+
+    out = tmp_path / "run"
+    before = blas_threads()
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_train_candidate", dying)
+        with pytest.raises(BrokenProcessPool):
+            run_pipeline(_mini_config(), out)
+    assert blas_threads() == before
+    assert [r.index for r in read_trials(out / "trials.jsonl")[1]] in ([], [0])
     run_pipeline(_mini_config(), out)
     assert _artifacts(out) == _artifacts(finished_run)
 

@@ -255,13 +255,18 @@ def test_spec_from_json_takes_text_and_names_paths():
         spec_from_json(SpaceSpec, {"target_cflops": 0.5, "mcb_band": [1.0]})
     with pytest.raises(SchemaError, match=r"PruningRecipe.ratios\[1\] must be a number, got false"):
         spec_from_json(PruningRecipe, {"arch": "chain3", "ratios": [0.5, False]})
+    with pytest.raises(SchemaError, match=r"PruningRecipe.ratios\[0\] must be a number, got NaN"):
+        spec_from_json(PruningRecipe, '{"arch": "x", "ratios": [NaN, 0.1]}')
+    with pytest.raises(SchemaError, match=r"SpaceSpec.std_cap must be a number, got -Infinity"):
+        spec_from_json(SpaceSpec, '{"target_cflops": 0.5, "std_cap": -Infinity}')
     with pytest.raises(SchemaError, match="PruningRecipe.ratios must be a list, got 0.5"):
         spec_from_json(PruningRecipe, {"arch": "chain3", "ratios": 0.5})
 
 
 # Each is one field of the desk preset's config document, set to a value of the wrong
 # type. Before the one schema layer, the first seven crashed with a traceback (exit 1)
-# and the rest were coerced: seed 1.9 ran as 1, top_k true as 1, arch 5 as "5".
+# and the rest were coerced: seed 1.9 ran as 1, top_k true as 1, arch 5 as "5". The
+# last two are JSON's NaN and Infinity, which float fields took as numbers before.
 _MALFORMED = [
     ("short_schedule.epochs", "1"),
     ("full_schedule.lr0", "0.1"),
@@ -278,6 +283,8 @@ _MALFORMED = [
     ("dataset.shape", [3.5, 16, 16]),
     ("space.target_cflops", True),
     ("arch", 5),
+    ("space.std_cap", float("nan")),
+    ("full_schedule.lr0", float("inf")),
 ]
 
 
