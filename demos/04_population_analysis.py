@@ -55,7 +55,7 @@ def main():
         # both spaces prune the one dense network: a run reuses the dense.ckpt it holds
         # when the checkpoint's key matches its own (same arch, dataset, dense schedule, seed)
         meta = {"dense_key": dense_key(loose), "val_accuracy": baseline.accuracy}
-        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta=meta)
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, baseline.arch, meta=meta)
         trials[label] = screen_candidates(run)
         print(f"{label}: screened to {run.trials.path}")
     print()

@@ -3,7 +3,7 @@
 Subcommands: arch, cost, sample, prune, train, explore, report, pipeline.
 Machine-readable results go to stdout (or --out files); logs go to stderr.
 Exit codes: 0 success, 2 usage, 3 validation/schema, 4 sampler feasibility,
-5 training divergence.
+5 training divergence, 6 a pool worker died.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .analysis import compare_spaces, distribution_summary, edf, top_k_winners
 from .arch import arch_to_json, builtin_names, prunable_units, resolve_plan
 from .cost import network_cost
 from .dataset import DatasetSpec, dataset_from_json
-from .errors import FeasibilityError, TrainingDiverged, ValidationError
+from .errors import FeasibilityError, TrainingDiverged, ValidationError, WorkerLost
 from .network import init_weights
 from .pipeline import (
     desk_preset,
@@ -122,23 +122,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    arch = resolve_arch(args.arch)
-    weights, _ = load_checkpoint(args.checkpoint)
-    if weights.arch_name != arch.name:
-        raise ValidationError(
-            f"checkpoint holds {weights.arch_name!r} weights, architecture is {arch.name!r}"
-        )
+    weights, arch, _ = load_checkpoint(args.checkpoint)
     recipe = recipe_from_json(_read_text(args.recipe))
     seed = args.seed if args.method == "random" else None
     pruned = one_shot_prune(weights, arch, recipe, method=args.method, seed=seed)
     save_checkpoint(
-        args.out_checkpoint,
-        pruned.weights,
-        meta={
-            "recipe": recipe.to_json(),
-            "method": args.method,
-            "arch_document": arch_to_json(pruned.arch),
-        },
+        args.out_checkpoint, pruned.weights, pruned.arch, meta={"recipe": recipe.to_json(), "method": args.method}
     )
     report = network_cost(arch, pruned.plan)
     _emit(canonical_json(report.to_json()), args.out)
@@ -151,28 +140,18 @@ def _cmd_train(args) -> int:
                 else ScheduleSpec(args.kind, args.epochs))
     dataset = dataset_from_json(_read_text(args.dataset)) if args.dataset else DatasetSpec()
     np_dtype = np.float32 if args.dtype == "float32" else np.float64
+    if (args.arch is None) == (args.checkpoint is None):
+        raise ValidationError("give exactly one of --arch and --checkpoint")
     if args.checkpoint:
-        weights, meta = load_checkpoint(args.checkpoint)
-        if "arch_document" in meta:
-            arch = resolve_arch(meta["arch_document"])
-        elif args.arch:
-            arch = resolve_arch(args.arch)
-        else:
-            arch = resolve_arch(weights.arch_name)
+        weights, arch, _ = load_checkpoint(args.checkpoint)
         weights = weights.astype(np_dtype)
     else:
-        if not args.arch:
-            raise ValidationError("without --checkpoint, --arch is required")
         arch = resolve_arch(args.arch)
         weights = init_weights(arch, args.seed, dtype=np_dtype)
     data = dataset.build(dtype=np_dtype)
     result = train(weights, arch, data, schedule, args.seed)
     if args.out_checkpoint:
-        save_checkpoint(
-            args.out_checkpoint,
-            result.weights,
-            meta={"arch_document": arch_to_json(arch), "val_accuracy": result.trace[-1]},
-        )
+        save_checkpoint(args.out_checkpoint, result.weights, arch, meta={"val_accuracy": result.trace[-1]})
         log.info("wrote checkpoint to %s", args.out_checkpoint)
     doc = {"val_accuracy": result.trace[-1], "trace": list(result.trace)}
     _emit(canonical_json(doc), args.out)
@@ -288,8 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("prune", help="one-shot prune a checkpoint with a recipe")
-    arch_arg(p)
-    p.add_argument("--checkpoint", required=True, help="dense weights checkpoint")
+    p.add_argument("--checkpoint", required=True, help="trained weights checkpoint (holds its architecture)")
     p.add_argument("--recipe", required=True, help="recipe JSON file")
     p.add_argument("--method", choices=METHODS, default="l2")
     p.add_argument("--seed", type=int, default=0, help="ranking seed (random method only)")
@@ -298,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("train", help="train weights on the synthetic dataset")
-    p.add_argument("--arch", help="builtin name or architecture JSON file")
-    p.add_argument("--checkpoint", help="start from these weights")
+    p.add_argument("--arch", help="start from fresh weights: builtin name or architecture JSON file")
+    p.add_argument("--checkpoint", help="start from these weights and their architecture")
     p.add_argument("--schedule", help="schedule JSON file")
     p.add_argument("--kind", choices=KINDS, default="scratch")
     p.add_argument("--epochs", type=int, default=20)
@@ -354,6 +332,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TrainingDiverged as e:
         log.error("training diverged: %s", e)
         return 5
+    except WorkerLost as e:
+        log.error("worker lost: %s", e)
+        return 6
     except ValidationError as e:
         log.error("invalid: %s", e)
         return 3

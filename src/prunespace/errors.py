@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes: 3 for a ValidationError, SchemaError and LogError included;
-4 for a FeasibilityError; 5 for TrainingDiverged. Anything else is a bug.
+4 for a FeasibilityError; 5 for TrainingDiverged; 6 for WorkerLost. Anything
+else is a bug.
 """
 from __future__ import annotations
+
+from concurrent.futures.process import BrokenProcessPool
 
 
 class PruneSpaceError(Exception):
@@ -42,3 +45,7 @@ class TrainingDiverged(PruneSpaceError, RuntimeError):
     def __init__(self, message: str, trace: tuple[float, ...] = ()):
         super().__init__(message)
         self.trace = tuple(trace)
+
+
+class WorkerLost(PruneSpaceError, BrokenProcessPool):
+    """A pool worker died (killed, or out of memory) before its candidates were recorded."""

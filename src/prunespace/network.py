@@ -34,9 +34,8 @@ from .errors import ValidationError
 class NetworkWeights:
     """Per-layer tensors keyed by role: "w", and optionally "b", "scale", "shift"."""
 
-    def __init__(self, tensors: dict[int, dict[str, np.ndarray]], arch_name: str = ""):
+    def __init__(self, tensors: dict[int, dict[str, np.ndarray]]):
         self.tensors = tensors
-        self.arch_name = arch_name
 
     @property
     def dtype(self) -> np.dtype:
@@ -45,14 +44,12 @@ class NetworkWeights:
 
     def copy(self) -> "NetworkWeights":
         return NetworkWeights(
-            {lid: {role: a.copy() for role, a in t.items()} for lid, t in self.tensors.items()},
-            self.arch_name,
+            {lid: {role: a.copy() for role, a in t.items()} for lid, t in self.tensors.items()}
         )
 
     def astype(self, dtype) -> "NetworkWeights":
         return NetworkWeights(
-            {lid: {role: a.astype(dtype) for role, a in t.items()} for lid, t in self.tensors.items()},
-            self.arch_name,
+            {lid: {role: a.astype(dtype) for role, a in t.items()} for lid, t in self.tensors.items()}
         )
 
     def num_params(self) -> int:
@@ -87,7 +84,7 @@ def init_weights(arch: ArchitectureSpec, seed, dtype=np.float32) -> NetworkWeigh
             t["scale"] = np.ones(l.c_out, dtype=dtype)
             t["shift"] = np.zeros(l.c_out, dtype=dtype)
         tensors[l.id] = t
-    return NetworkWeights(tensors, arch.name)
+    return NetworkWeights(tensors)
 
 
 def check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:

@@ -16,7 +16,8 @@ left. A fresh run reads the accuracy off the dense training trace; a run
 whose directory already holds `dense.ckpt` (a resumed run, or one given a
 dense network shared with another run) evaluates the reloaded checkpoint once.
 The checkpoint carries the `dense_key` it was trained for, a hash of the
-config's arch, dataset, dense_schedule and seed; a run refuses any other key.
+config's arch, dataset, dense_schedule and seed, and the architecture
+document of its weights; a run refuses any other key or document.
 
 Every phase is a pure function of (config, master seed): each random stream is
 keyed by `derive_seed` from the master seed and a per-phase tag, so
@@ -46,17 +47,18 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .analysis import TrialRecord, accuracy_drop, distribution_summary, edf, top_k_winners
-from .arch import ArchitectureSpec, builtin_arch, builtin_names, load_arch
+from .arch import ArchitectureSpec, arch_to_json, builtin_arch, builtin_names, load_arch
 from .cost import network_cost
 from .dataset import Batch, DatasetSpec
-from .errors import TrainingDiverged, ValidationError
+from .errors import TrainingDiverged, ValidationError, WorkerLost
 from .network import NetworkWeights, evaluate, init_weights
 from .pruning import METHODS, one_shot_prune
 from .runlog import (
@@ -88,10 +90,8 @@ _TAG_PRUNE = 5
 _TAG_FULL = 6
 
 
-def resolve_arch(name_or_path: str | Mapping) -> ArchitectureSpec:
-    """Builtin architecture name, path to an architecture JSON file, or document."""
-    if isinstance(name_or_path, Mapping):
-        return load_arch(name_or_path)
+def resolve_arch(name_or_path: str) -> ArchitectureSpec:
+    """Builtin architecture name, or path to an architecture JSON file."""
     if name_or_path in builtin_names():
         return builtin_arch(name_or_path)
     path = Path(name_or_path)
@@ -205,11 +205,12 @@ def train_dense_baseline(
 
 def _train_candidate(
     config: PipelineConfig, baseline: DenseBaseline, full: bool, index: int, ratios: Sequence[float]
-) -> tuple[TrialRecord, NetworkWeights | None, float]:
+) -> tuple[TrialRecord, tuple[NetworkWeights, ArchitectureSpec] | None, float]:
     """Prune candidate `index` from the dense weights, train it, and record the drop.
 
     `full` selects the finalist schedule and seed namespace and keeps the
-    trained weights; screening (`full=False`) discards them.
+    trained network, its weights and pruned architecture; screening
+    (`full=False`) discards it.
     """
     started = time.perf_counter()
     arch = baseline.arch
@@ -220,7 +221,7 @@ def _train_candidate(
     pruned = one_shot_prune(baseline.weights, arch, ratios, method=config.method, seed=prune_seed)
     cost = network_cost(arch, pruned.plan)
     diverged = False
-    weights = None
+    network = None
     try:
         result = train(
             pruned.weights, pruned.arch, baseline.data, schedule,
@@ -228,7 +229,7 @@ def _train_candidate(
         )
         drop = accuracy_drop(baseline.accuracy, result.trace[-1])
         if full:
-            weights = result.weights
+            network = result.weights, pruned.arch
     except TrainingDiverged:
         drop = math.inf
         diverged = True
@@ -244,7 +245,7 @@ def _train_candidate(
         seed=config.seed,
         diverged=diverged,
     )
-    return record, weights, time.perf_counter() - started
+    return record, network, time.perf_counter() - started
 
 
 # -- worker pool ------------------------------------------------------------------
@@ -319,7 +320,7 @@ def _init_worker(config: PipelineConfig | None, baseline: DenseBaseline | None) 
 
 def _pool_task(
     full: bool, task: tuple[int, tuple[float, ...]]
-) -> tuple[TrialRecord, NetworkWeights | None, float]:
+) -> tuple[TrialRecord, tuple[NetworkWeights, ArchitectureSpec] | None, float]:
     return _train_candidate(*_worker_state, full, *task)
 
 
@@ -347,16 +348,30 @@ def _map_candidates(
     baseline: DenseBaseline,
     full: bool,
     tasks: Sequence[tuple[int, tuple[float, ...]]],
-) -> Iterator[tuple[TrialRecord, NetworkWeights | None, float]]:
-    """`_train_candidate` over `tasks`, serially or on the pool; yields in task order."""
+) -> Iterator[tuple[TrialRecord, tuple[NetworkWeights, ArchitectureSpec] | None, float]]:
+    """`_train_candidate` over `tasks`, serially or on the pool; yields in task order.
+
+    A pool whose worker dies raises `WorkerLost`, naming the phase and the
+    candidates not yet yielded, which the caller has therefore not recorded.
+    """
     workers = worker_count(len(tasks))
     if workers == 1:
         for index, ratios in tasks:
             yield _train_candidate(config, baseline, full, index, ratios)
         return
     log.info("training %d candidates across %d workers", len(tasks), workers)
-    with _candidate_pool(config, baseline, workers) as pool:
-        yield from pool.map(functools.partial(_pool_task, full), tasks)
+    yielded = 0
+    try:
+        with _candidate_pool(config, baseline, workers) as pool:
+            for result in pool.map(functools.partial(_pool_task, full), tasks):
+                yield result
+                yielded += 1
+    except BrokenProcessPool as e:
+        missing = [index for index, _ in tasks[yielded:]]
+        raise WorkerLost(
+            f"a pool worker died in the {'full' if full else 'screen'} phase; candidates {missing} "
+            "were not recorded; a rerun resumes from what was"
+        ) from e
 
 
 def worker_count(pending: int) -> int:
@@ -409,19 +424,20 @@ def retrain_top_k(run: RunDir, trials: Sequence[TrialRecord]) -> PipelineResult:
 
     Screening weights are deliberately discarded: finalists restart from the
     dense checkpoint so the two phases stay independent. Each finalist's
-    weights are saved to the run as `finalist_<index>.ckpt`.
+    weights and pruned architecture are saved to the run as
+    `finalist_<index>.ckpt`, which `load_checkpoint` reads back whole.
     """
     config = run.config
     if len(trials) < config.top_k:
         raise ValidationError(f"need at least top_k={config.top_k} trials, got {len(trials)}")
     tasks = [(c.index, c.recipe) for c in top_k_winners(trials, config.top_k)]
     finalists: list[TrialRecord] = []
-    for rank, (record, weights, seconds) in enumerate(_map_candidates(config, run.baseline, True, tasks)):
+    for rank, (record, network, seconds) in enumerate(_map_candidates(config, run.baseline, True, tasks)):
         finalists.append(record)
         run.observe("full", record.index, seconds)
-        if weights is not None:
+        if network is not None:
             meta = {"index": record.index, "rank": rank, "drop": record.accuracy_drop}
-            save_checkpoint(run.path / f"finalist_{record.index}.ckpt", weights, meta=meta)
+            save_checkpoint(run.path / f"finalist_{record.index}.ckpt", *network, meta=meta)
         log.info(
             "finalist %d (screen rank %d): full-schedule drop %s",
             record.index, rank, "diverged" if record.diverged else f"{record.accuracy_drop:.3f}",
@@ -455,9 +471,10 @@ class RunDir:
     names another config, before touching anything else; it then opens the
     trial log and refuses one that is not indices 0, 1, ... of at most `n`
     records. `baseline` is derived on first use, from `dense.ckpt` when the
-    directory holds one, which must carry the run's `dense_key`. Whole files are
-    written with `write_atomic`; the trial log (`trials.jsonl`) and the timings
-    sidecar (`timings.txt`) grow by a line as each result comes in.
+    directory holds one, which must carry the run's `dense_key` and
+    architecture document. Whole files are written with `write_atomic`; the
+    trial log (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by
+    a line as each result comes in.
     """
 
     def __init__(self, path: str | Path, config: PipelineConfig):
@@ -492,22 +509,24 @@ class RunDir:
         data = config.dataset.build()
         if path.exists():
             arch = resolve_arch(config.arch)
-            weights, meta = load_checkpoint(path)
+            weights, saved_arch, meta = load_checkpoint(path)
             if meta.get("dense_key") != key:
                 raise ValidationError(
                     f"{path} was trained for dense key {meta.get('dense_key')}, this run's is {key}: "
                     "its arch, dataset, dense_schedule or seed differ"
                 )
-            if weights.arch_name != arch.name:
+            if arch_to_json(saved_arch) != arch_to_json(arch):
                 raise ValidationError(
-                    f"{path} holds weights for {weights.arch_name!r}, config wants {arch.name!r}"
+                    f"{path} holds another architecture document than the config's arch {config.arch!r}"
                 )
             log.info("reusing dense baseline from %s", path)
             return DenseBaseline(arch, data, weights, evaluate(weights, arch, data[1]))
         started = time.perf_counter()
         baseline = train_dense_baseline(config, data)
         self.observe("dense", "-", time.perf_counter() - started)
-        save_checkpoint(path, baseline.weights, meta={"dense_key": key, "val_accuracy": baseline.accuracy})
+        save_checkpoint(
+            path, baseline.weights, baseline.arch, meta={"dense_key": key, "val_accuracy": baseline.accuracy}
+        )
         log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
         return baseline
 

@@ -23,60 +23,34 @@ from .seeds import derive_seed
 METHODS = ("l2", "l1", "random")
 
 
-def _member_weight(weights: NetworkWeights, lid: int) -> np.ndarray:
-    return weights.tensors[lid]["w"]
-
-
 def filter_l2_norms(
     weights: NetworkWeights, arch: ArchitectureSpec, unit: PrunableUnit | int
 ) -> np.ndarray:
     """Per-filter l2 magnitude of a unit, aggregated across coupled members."""
-    return _filter_norms(weights, arch, unit, ord=2)
+    return _scores(weights, arch, unit, "l2")
 
 
 def filter_l1_norms(
     weights: NetworkWeights, arch: ArchitectureSpec, unit: PrunableUnit | int
 ) -> np.ndarray:
-    return _filter_norms(weights, arch, unit, ord=1)
+    return _scores(weights, arch, unit, "l1")
 
 
-def _resolve_unit(arch: ArchitectureSpec, unit: PrunableUnit | int) -> PrunableUnit:
-    if isinstance(unit, PrunableUnit):
-        return unit
-    units = prunable_units(arch)
-    if not (0 <= unit < len(units)):
-        raise ValidationError(f"unit index {unit} outside [0, {len(units)})")
-    return units[unit]
-
-
-def _filter_norms(weights, arch, unit, ord: int) -> np.ndarray:
-    unit = _resolve_unit(arch, unit)
+def _scores(weights, arch, unit: PrunableUnit | int, method: str, seed=None) -> np.ndarray:
+    """Per-filter scores of a unit (or its index) under a ranking method of METHODS."""
+    if not isinstance(unit, PrunableUnit):
+        units = prunable_units(arch)
+        if not (0 <= unit < len(units)):
+            raise ValidationError(f"unit index {unit} outside [0, {len(units)})")
+        unit = units[unit]
+    if method == "random":
+        return np.random.default_rng(derive_seed(seed, unit.index)).random(unit.c_out)
     total = np.zeros(unit.c_out, dtype=np.float64)
     for lid in unit.layer_ids:
-        w = _member_weight(weights, lid).astype(np.float64)
+        w = weights.tensors[lid]["w"].astype(np.float64)
         axes = tuple(i for i in range(w.ndim) if i != 1)  # filters live on axis 1
-        if ord == 2:
-            total += np.square(w).sum(axis=axes)
-        else:
-            total += np.abs(w).sum(axis=axes)
-    return np.sqrt(total) if ord == 2 else total
-
-
-def unit_scores(
-    weights: NetworkWeights,
-    arch: ArchitectureSpec,
-    unit: PrunableUnit,
-    method: str,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    if method == "l2":
-        return filter_l2_norms(weights, arch, unit)
-    if method == "l1":
-        return filter_l1_norms(weights, arch, unit)
-    if method == "random":
-        assert rng is not None
-        return rng.random(unit.c_out)
-    raise ValidationError(f"ranking method must be one of {METHODS}, got {method!r}")
+        total += (np.square(w) if method == "l2" else np.abs(w)).sum(axis=axes)
+    return np.sqrt(total) if method == "l2" else total
 
 
 @dataclass(frozen=True)
@@ -115,8 +89,7 @@ def one_shot_prune(
     }
     for unit in prunable_units(arch):
         keep = plan.kept[unit.layer_ids[0]]
-        rng = np.random.default_rng(derive_seed(seed, unit.index)) if method == "random" else None
-        scores = unit_scores(weights, arch, unit, method, rng)
+        scores = _scores(weights, arch, unit, method, seed)
         # stable argsort on negated scores: ties keep the lower filter index
         order = np.argsort(-scores, kind="stable")[:keep]
         chosen = tuple(int(i) for i in np.sort(order))
@@ -148,4 +121,4 @@ def one_shot_prune(
             if role in t:
                 new_t[role] = np.ascontiguousarray(t[role][out_keep])
         tensors[l.id] = new_t
-    return PrunedNetwork(NetworkWeights(tensors, new_arch.name), new_arch, plan, kept_indices)
+    return PrunedNetwork(NetworkWeights(tensors), new_arch, plan, kept_indices)

@@ -5,7 +5,9 @@ exactly, so identical runs produce byte-identical files and any record can be
 re-parsed bit-for-bit. Trial logs are append-only JSONL with a header line
 carrying the schema version and a hash of the generating config; indices must
 increase strictly. Checkpoints use a small self-describing binary container
-(JSON header plus raw little-endian tensor bytes) with no timestamps. A log
+(JSON header plus raw little-endian tensor bytes) with no timestamps; the
+header holds the architecture document of the weights, so a checkpoint loads
+as weights and architecture together, checked against each other. A log
 header, a trial line and a checkpoint header are each a spec, written by
 `spec_to_json` and read back strictly by `spec_from_json`.
 Whole files are written through `write_atomic`, so none is ever left half
@@ -25,14 +27,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .analysis import DistributionSummary, EDFCurve, RegimeRow, SpaceComparison, TrialRecord
+from .arch import ArchitectureSpec, arch_to_json, load_arch
 from .errors import LogError, SchemaError, ValidationError
-from .network import NetworkWeights
+from .network import NetworkWeights, check_weights
 from .schema import spec_from_json, spec_to_json
 
 
 log = logging.getLogger("prunespace")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of trial logs
+CHECKPOINT_VERSION = 2
 _CKPT_MAGIC = b"PSCKPT1\n"
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
@@ -231,17 +235,16 @@ class CheckpointEntry:
 
 @dataclass(frozen=True)
 class CheckpointHeader:
-    """The JSON line between a checkpoint's magic and its tensor bytes."""
+    """The JSON line between a checkpoint's magic and its tensor bytes; `arch` is the
+    architecture document the tensors belong to."""
 
     version: int
-    arch: str
+    arch: dict
     dtype: str
     meta: dict
     entries: tuple[CheckpointEntry, ...]
 
     def __post_init__(self):
-        if self.version != SCHEMA_VERSION:
-            raise ValidationError(f"version {self.version} unsupported (expected {SCHEMA_VERSION})")
         if self.dtype not in _DTYPES:
             raise ValidationError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
         itemsize = np.dtype(_DTYPES[self.dtype]).itemsize
@@ -254,20 +257,26 @@ class CheckpointHeader:
 
 
 def save_checkpoint(
-    path: str | Path, weights: NetworkWeights, meta: Mapping | None = None
+    path: str | Path, weights: NetworkWeights, arch: ArchitectureSpec, meta: Mapping | None = None
 ) -> None:
-    """Versioned binary container; identical weights give identical bytes."""
+    """Versioned binary container of `weights` and the `arch` they belong to;
+    identical weights and arch give identical bytes."""
     dtype = np.dtype(weights.dtype)
     entries, offset = [], 0
     for lid, role, a in weights.items():
         entries.append(CheckpointEntry(lid, role, a.shape, offset, a.size * dtype.itemsize))
         offset += entries[-1].nbytes
-    header = CheckpointHeader(SCHEMA_VERSION, weights.arch_name, dtype.name, dict(meta or {}), tuple(entries))
+    header = CheckpointHeader(CHECKPOINT_VERSION, arch_to_json(arch), dtype.name, dict(meta or {}), tuple(entries))
     blobs = [np.ascontiguousarray(a, dtype=_DTYPES[dtype.name]).tobytes() for _, _, a in weights.items()]
     write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(spec_to_json(header)).encode(), b"\n", *blobs]))
 
 
-def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, dict]:
+def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, ArchitectureSpec, dict]:
+    """The weights, their architecture (from the header) and the meta of a checkpoint.
+
+    Refuses a checkpoint of another version, and one whose tensors do not fit
+    its own architecture.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -275,17 +284,25 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, dict]:
         header_line = f.readline()
         body = f.read()
     try:
-        header = spec_from_json(CheckpointHeader, header_line)
-    except SchemaError as e:
+        doc = json.loads(header_line)
+        # checked first: a version-1 header also fails the version-2 spec, on `arch`
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValidationError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
+        header = spec_from_json(CheckpointHeader, doc)
+        arch = load_arch(header.arch)
+        tensors: dict[int, dict[str, np.ndarray]] = {}
+        for e in header.entries:
+            raw = body[e.offset : e.offset + e.nbytes]
+            if len(raw) != e.nbytes:
+                raise ValidationError("truncated checkpoint body")
+            a = np.frombuffer(raw, dtype=_DTYPES[header.dtype]).reshape(e.shape).copy()
+            tensors.setdefault(e.layer, {})[e.role] = a
+        weights = NetworkWeights(tensors)
+        check_weights(weights, arch)
+    except (json.JSONDecodeError, ValidationError) as e:
         raise SchemaError(f"{path}: {e}") from e
-    tensors: dict[int, dict[str, np.ndarray]] = {}
-    for e in header.entries:
-        raw = body[e.offset : e.offset + e.nbytes]
-        if len(raw) != e.nbytes:
-            raise ValidationError(f"{path}: truncated checkpoint body")
-        a = np.frombuffer(raw, dtype=_DTYPES[header.dtype]).reshape(e.shape).copy()
-        tensors.setdefault(e.layer, {})[e.role] = a
-    return NetworkWeights(tensors, header.arch), header.meta
+    return weights, arch, header.meta
 
 
 # -- report CSVs ----------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
         # dense.ckpt under the preset's key, which a run reuses only if it equals its own
         run = RunDir(tmp_path / label, config)
         meta = {"dense_key": dense_key(desk_preset()), "val_accuracy": baseline.accuracy}
-        save_checkpoint(run.path / "dense.ckpt", baseline.weights, meta=meta)
+        save_checkpoint(run.path / "dense.ckpt", baseline.weights, baseline.arch, meta=meta)
         trials_by_space[label] = screen_candidates(run)
     assert all(len(t) == 50 for t in trials_by_space.values())
 

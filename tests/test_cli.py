@@ -92,14 +92,15 @@ def test_cost_and_prune_take_any_ratio_in_the_unit_interval(tmp_path, capsys):
     assert cost["flops"] == network_cost(builtin_arch("resnet-tiny"), ratios).flops
 
     dense_ckpt, pruned_ckpt = tmp_path / "dense.ckpt", tmp_path / "pruned.ckpt"
-    save_checkpoint(dense_ckpt, init_weights(builtin_arch("resnet-tiny"), seed=0))
+    arch = builtin_arch("resnet-tiny")
+    save_checkpoint(dense_ckpt, init_weights(arch, seed=0), arch)
     code, out = _run(
-        capsys, "prune", "--arch", "resnet-tiny", "--checkpoint", str(dense_ckpt),
+        capsys, "prune", "--checkpoint", str(dense_ckpt),
         "--recipe", str(recipe), "--out-checkpoint", str(pruned_ckpt),
     )
     assert code == 0
     assert json.loads(out) == cost
-    weights, _ = load_checkpoint(pruned_ckpt)
+    weights, _, _ = load_checkpoint(pruned_ckpt)
     assert weights.tensors[1]["w"].shape[1] == 1  # layer 1 keeps round(0.03 * 8) -> 1 filter
 
 
@@ -171,14 +172,15 @@ def test_train_prune_train_round_trip(tmp_path, capsys):
     recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.5, 0.5]}))
     pruned_ckpt = tmp_path / "pruned.ckpt"
     code, out = _run(
-        capsys, "prune", "--arch", "chain3", "--checkpoint", str(dense_ckpt),
+        capsys, "prune", "--checkpoint", str(dense_ckpt),
         "--recipe", str(recipe), "--out-checkpoint", str(pruned_ckpt),
     )
     assert code == 0
     assert json.loads(out)["flops"] == 6942
-    weights, meta = load_checkpoint(pruned_ckpt)
-    assert meta["method"] == "l2"
+    weights, arch, meta = load_checkpoint(pruned_ckpt)
+    assert meta == {"recipe": {"arch": "chain3", "ratios": [0.5, 0.5]}, "method": "l2"}
     assert weights.tensors[0]["w"].shape == (3, 2, 3, 3)
+    assert [l.c_out for l in arch.layers] == [2, 3, 10]
 
     # the pruned checkpoint carries its own (reduced) architecture
     code, out = _run(
@@ -189,9 +191,13 @@ def test_train_prune_train_round_trip(tmp_path, capsys):
     assert len(json.loads(out)["trace"]) == 1
 
 
-def test_train_requires_a_network(capsys):
-    assert main(["train", "--kind", "scratch", "--epochs", "1"]) == 3
-    capsys.readouterr()
+def test_train_requires_a_network(tmp_path, capsys, caplog):
+    refusal = "give exactly one of --arch and --checkpoint"
+    _exits_3_naming(capsys, caplog, ["train", "--kind", "scratch", "--epochs", "1"], refusal)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, init_weights(builtin_arch("chain3"), seed=0), builtin_arch("chain3"))
+    argv = ["train", "--arch", "chain3", "--checkpoint", str(ckpt), "--epochs", "1"]
+    _exits_3_naming(capsys, caplog, argv, refusal)
 
 
 def test_train_divergence_exits_5(tmp_path, capsys):
@@ -398,11 +404,15 @@ def _edit_checkpoint_header(path, edit):
 
 # Each is (an edit of a valid checkpoint header, text the refusal must name). Before
 # checkpoint headers were read as specs, the first two ended in a traceback (exit 1).
+# A version-1 header names its architecture instead of holding it.
 _MALFORMED_CHECKPOINTS = [
     ("no entries", lambda doc: doc.pop("entries"), "CheckpointHeader misses the required field 'entries'"),
     ("shape off nbytes", lambda doc: doc["entries"][0].update(shape=[3, 4, 3, 2]), "entries[0] must lie"),
     ("offset string", lambda doc: doc["entries"][0].update(offset="0"),
      "CheckpointHeader.entries[0].offset must be an integer"),
+    ("version 1", lambda doc: doc.update(version=1, arch="chain3"), "checkpoint version 1 unsupported (expected 2)"),
+    ("arch off shapes", lambda doc: doc["arch"]["layers"][0].update(k=1, pad=0),
+     "layer 0: w shape (3, 4, 3, 3) != (3, 4, 1, 1)"),
 ]
 
 
@@ -411,11 +421,11 @@ _MALFORMED_CHECKPOINTS = [
 )
 def test_malformed_checkpoint_header_exits_3(edit, text, tmp_path, capsys, caplog):
     ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
-    save_checkpoint(ckpt, init_weights(builtin_arch("chain3"), seed=0))
+    save_checkpoint(ckpt, init_weights(builtin_arch("chain3"), seed=0), builtin_arch("chain3"))
     _edit_checkpoint_header(ckpt, edit)
     recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.5, 0.5]}))
     argv = [
-        "prune", "--arch", "chain3", "--checkpoint", str(ckpt), "--recipe", str(recipe),
+        "prune", "--checkpoint", str(ckpt), "--recipe", str(recipe),
         "--out-checkpoint", str(tmp_path / "out.ckpt"),
     ]
     _exits_3_naming(capsys, caplog, argv, text)
@@ -437,10 +447,10 @@ def test_prune_checkpoint_missing_a_role_exits_3(edit, text, tmp_path, capsys, c
     weights = init_weights(builtin_arch("chain3"), seed=0)
     edit(weights)
     ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
-    save_checkpoint(ckpt, weights)
+    save_checkpoint(ckpt, weights, builtin_arch("chain3"))
     recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.25, 0.5]}))
     argv = [
-        "prune", "--arch", "chain3", "--checkpoint", str(ckpt), "--recipe", str(recipe),
+        "prune", "--checkpoint", str(ckpt), "--recipe", str(recipe),
         "--out-checkpoint", str(tmp_path / "out.ckpt"),
     ]
     _exits_3_naming(capsys, caplog, argv, text)

@@ -126,7 +126,6 @@ def test_init_weights_statistics():
     assert not clf["b"].any()
     t0 = weights.tensors[0]
     assert np.all(t0["scale"] == 1.0) and not t0["shift"].any()
-    assert weights.arch_name == "resnet50-shape"
 
 
 def test_init_weights_deterministic():

@@ -17,12 +17,14 @@ from prunespace import (
     SpaceSpec,
     TrainingDiverged,
     ValidationError,
+    accuracy_drop,
     arch_to_json,
     builtin_arch,
     canonical_json,
     dense_key,
     desk_preset,
     derive_seed,
+    evaluate,
     explore_space,
     finetune_schedule,
     network_cost,
@@ -115,7 +117,6 @@ def test_presets():
 def test_resolve_arch_sources(tmp_path):
     assert resolve_arch("chain3").name == "chain3"
     doc = arch_to_json(builtin_arch("chain3"))
-    assert resolve_arch(doc).name == "chain3"
     path = tmp_path / "my_arch.json"
     path.write_text(json.dumps(doc))
     assert resolve_arch(str(path)).name == "chain3"
@@ -201,7 +202,7 @@ def test_screen_resume_from_partial_log(tmp_path, monkeypatch):
 def test_dense_checkpoint_is_reused_only_under_its_key(tmp_path, caplog, capsys):
     source = RunDir(tmp_path / "source", _mini_config(seed=1))
     source.baseline  # trains the dense network and saves it as dense.ckpt
-    source_key = load_checkpoint(source.path / "dense.ckpt")[1]["dense_key"]
+    source_key = load_checkpoint(source.path / "dense.ckpt")[2]["dense_key"]
     assert source_key == dense_key(source.config)
 
     # another space and population size, the same dense fields: the network is shared
@@ -225,8 +226,28 @@ def test_dense_checkpoint_is_reused_only_under_its_key(tmp_path, caplog, capsys)
     assert read_trials(run.path / "trials.jsonl")[1] == []
 
     # a checkpoint saved without a key is refused as well
-    save_checkpoint(run.path / "dense.ckpt", source.baseline.weights, meta={"val_accuracy": 1.0})
+    save_checkpoint(
+        run.path / "dense.ckpt", source.baseline.weights, source.baseline.arch, meta={"val_accuracy": 1.0}
+    )
     with pytest.raises(ValidationError, match=f"dense key None, this run's is {dense_key(config)}"):
+        RunDir(run.path, config).baseline
+
+
+def test_dense_checkpoint_of_an_edited_arch_file_is_refused(tmp_path):
+    # the config names the architecture by path, so its dense key does not
+    # change with the file's content; the checkpoint's own document does
+    doc = arch_to_json(builtin_arch("resnet-tiny"))
+    arch_file = tmp_path / "arch.json"
+    arch_file.write_text(json.dumps(doc))
+    config = dataclasses.replace(_mini_config(), arch=str(arch_file))
+    run = RunDir(tmp_path / "run", config)
+    arch = resolve_arch(config.arch)
+    save_checkpoint(run.path / "dense.ckpt", init_weights(arch, 0), arch, meta={"dense_key": dense_key(config)})
+    assert arch_to_json(RunDir(run.path, config).baseline.arch) == doc
+
+    doc["layers"][1].update(k=1, pad=0)
+    arch_file.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="another architecture document"):
         RunDir(run.path, config).baseline
 
 
@@ -665,6 +686,42 @@ def test_killed_pool_worker_breaks_the_run_and_a_rerun_converges(tmp_path, monke
     assert [r.index for r in read_trials(out / "trials.jsonl")[1]] in ([], [0])
     run_pipeline(_mini_config(), out)
     assert _artifacts(out) == _artifacts(finished_run)
+
+
+def test_killed_pool_worker_exits_6_naming_the_unrecorded_candidates(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "2")
+    parent, real = os.getpid(), pipeline._train_candidate
+
+    def dying(config, baseline, full, index, ratios):
+        if index == 1 and os.getpid() != parent:
+            os._exit(1)
+        return real(config, baseline, full, index, ratios)
+
+    monkeypatch.setattr(pipeline, "_train_candidate", dying)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(canonical_json(_mini_config().to_json()) + "\n")
+    out = tmp_path / "run"
+    with caplog.at_level("ERROR", logger="prunespace"):
+        assert cli_main(["pipeline", "--config", str(config_file), "--out-dir", str(out)]) == 6
+    assert "Traceback" not in capsys.readouterr().err
+    logged = [r.index for r in read_trials(out / "trials.jsonl")[1]]
+    unrecorded = [i for i in range(4) if i not in logged]
+    assert 1 in unrecorded
+    assert f"screen phase; candidates {unrecorded} were not recorded" in caplog.text
+
+
+def test_finalist_checkpoints_reload_to_their_logged_drop(finished_run, capsys):
+    # a finalist's checkpoint is the subnetwork the run found: it loads with
+    # its pruned architecture, scores its logged drop, and trains on
+    winners = json.loads((finished_run / "winners.json").read_text())
+    val = _mini_config().dataset.build()[1]
+    for finalist in winners["finalists"]:
+        path = finished_run / f"finalist_{finalist['index']}.ckpt"
+        weights, arch, meta = load_checkpoint(path)
+        assert meta["drop"] == finalist["accuracy_drop"]
+        assert accuracy_drop(winners["dense_accuracy"], evaluate(weights, arch, val)) == finalist["accuracy_drop"]
+        assert cli_main(["train", "--checkpoint", str(path), "--kind", "finetune", "--epochs", "1"]) == 0
+    capsys.readouterr()
 
 
 def _diverging_config():

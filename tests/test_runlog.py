@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from prunespace import (
     CostReport,
     LogError,
-    NetworkWeights,
     TrialLog,
     TrialRecord,
     ValidationError,
+    arch_to_json,
     builtin_arch,
     canonical_json,
     config_hash,
@@ -29,6 +29,8 @@ from prunespace import (
     histogram_csv,
     init_weights,
     load_checkpoint,
+    one_shot_prune,
+    prunable_units,
     read_trials,
     save_checkpoint,
     summary_csv,
@@ -341,31 +343,32 @@ _meta = st.dictionaries(
 
 
 @st.composite
-def _weights(draw):
+def _network(draw):
+    """Weights and architecture: a builtin, or one pruned from it by a drawn recipe."""
+    arch = builtin_arch(draw(st.sampled_from(["chain3", "resnet-tiny"])))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    tensors = {}
-    for lid in draw(st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True)):
-        roles = ["w"] + draw(st.lists(st.sampled_from(["b", "scale", "shift"]), unique=True))
-        tensors[lid] = {
-            role: rng.normal(size=draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))).astype(dtype)
-            for role in roles
-        }
-    return NetworkWeights(tensors, draw(st.text(max_size=12)))
+    weights = init_weights(arch, draw(st.integers(0, 2**32)), dtype=dtype)
+    if draw(st.booleans()):
+        units = len(prunable_units(arch))
+        ratios = draw(st.lists(st.floats(0.0, 0.95), min_size=units, max_size=units))
+        pruned = one_shot_prune(weights, arch, ratios)
+        weights, arch = pruned.weights, pruned.arch
+    return weights, arch
 
 
 @settings(max_examples=50, deadline=None)
-@given(weights=_weights(), meta=_meta)
-def test_checkpoint_round_trip(weights, meta):
+@given(network=_network(), meta=_meta)
+def test_checkpoint_round_trip(network, meta):
+    weights, arch = network
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
-        save_checkpoint(first, weights, meta=meta)
-        back, back_meta = load_checkpoint(first)
-        assert back_meta == meta and back.arch_name == weights.arch_name
+        save_checkpoint(first, weights, arch, meta=meta)
+        back, back_arch, back_meta = load_checkpoint(first)
+        assert back_meta == meta and arch_to_json(back_arch) == arch_to_json(arch)
         assert [(lid, role) for lid, role, _ in back.items()] == [(lid, role) for lid, role, _ in weights.items()]
         for (_, _, a), (_, _, b) in zip(weights.items(), back.items()):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        save_checkpoint(second, back, meta=back_meta)
+        save_checkpoint(second, back, back_arch, meta=back_meta)
         assert second.read_bytes() == first.read_bytes()
 
 
@@ -373,8 +376,8 @@ def test_checkpoint_float64_and_default_meta(tmp_path):
     arch = builtin_arch("chain3")
     weights = init_weights(arch, seed=1, dtype=np.float64)
     path = tmp_path / "w.ckpt"
-    save_checkpoint(path, weights)
-    back, meta = load_checkpoint(path)
+    save_checkpoint(path, weights, arch)
+    back, _, meta = load_checkpoint(path)
     assert meta == {}
     assert back.dtype == np.float64
     assert np.array_equal(back.tensors[0]["w"], weights.tensors[0]["w"])
@@ -384,8 +387,8 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     arch = builtin_arch("chain3")
     weights = init_weights(arch, seed=2)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(a, weights, meta={"k": 1})
-    save_checkpoint(b, weights.copy(), meta={"k": 1})
+    save_checkpoint(a, weights, arch, meta={"k": 1})
+    save_checkpoint(b, weights.copy(), arch, meta={"k": 1})
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -394,8 +397,8 @@ def test_checkpoint_rejects_bad_inputs(tmp_path):
     weights = init_weights(arch, seed=3)
     path = tmp_path / "w.ckpt"
     with pytest.raises(ValidationError):
-        save_checkpoint(path, weights.astype(np.float16))
-    save_checkpoint(path, weights)
+        save_checkpoint(path, weights.astype(np.float16), arch)
+    save_checkpoint(path, weights, arch)
     data = path.read_bytes()
     (tmp_path / "bad_magic.ckpt").write_bytes(b"NOTACKPT" + data[8:])
     with pytest.raises(ValidationError):
@@ -427,12 +430,12 @@ def _format_bytes(tmp: Path) -> dict[str, bytes]:
     log = TrialLog(tmp / "t.jsonl", {"arch": "chain3", "n": 3})
     for r in (_pinned_trial(0, -0.25, 1), _pinned_trial(1, math.inf, 1), _pinned_trial(2, 12.5, 1)):
         log.append(r)
-    save_checkpoint(
-        tmp / "a.ckpt", init_weights(builtin_arch("chain3"), 0), meta={"val_accuracy": 0.97, "note": "dense"}
-    )
+    chain3, tiny = builtin_arch("chain3"), builtin_arch("resnet-tiny")
+    save_checkpoint(tmp / "a.ckpt", init_weights(chain3, 0), chain3, meta={"val_accuracy": 0.97, "note": "dense"})
     save_checkpoint(
         tmp / "b.ckpt",
-        init_weights(builtin_arch("resnet-tiny"), 1, dtype=np.float64),
+        init_weights(tiny, 1, dtype=np.float64),
+        tiny,
         meta={"dense_key": "0123456789abcdef", "val_accuracy": 0.5, "nested": {"rank": [1, 2]}},
     )
     return {
@@ -444,13 +447,14 @@ def _format_bytes(tmp: Path) -> dict[str, bytes]:
     }
 
 
-# sha256 of each format's bytes, as the hand-written emitters wrote them
+# sha256 of each format's bytes: trial lines and logs as the hand-written emitters
+# wrote them; checkpoints as of version 2, whose header holds the arch document
 _FORMAT_DIGESTS = {
     "trial.finite": "f30da929e5d6faa48b5b69addd5839a3fe673bacc26acc18918a6211deeb269b",
     "trial.diverged": "d5a29ed30b6a9e9d1b3b0c3c07c875de6671e9d11d57a93b776bb1de8eef50bb",
     "log": "a4fbf289e3c8cc3e17bfac23ea61ae52348927ddbc751233c7ebafba48a91baa",
-    "ckpt.chain3.float32": "fdb62664b64053d5217172e88087d7a578f067b427e07d1b90d91f6bb16f20f5",
-    "ckpt.resnet-tiny.float64": "f761c97dba3fa06547b783ea1bdab4f90e4f43e2a44fc8053b227366eb6bc987",
+    "ckpt.chain3.float32": "1bf8eca623061d3ed3117c2ec88d285ebec3a504e221e437bbf6cfc00016c36b",
+    "ckpt.resnet-tiny.float64": "158366421877a13f9be7b6edd584fd9a7d7146fc7d8d579a730a1dfd50c72aa0",
 }
 
 
