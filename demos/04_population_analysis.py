@@ -54,7 +54,7 @@ def main():
         run = RunDir(OUT / label, config)
         # both spaces prune the one dense network: a run reuses the dense.ckpt it holds
         # when the checkpoint's key matches its own (same arch, dataset, dense schedule, seed)
-        meta = {"dense_key": dense_key(loose), "val_accuracy": baseline.accuracy}
+        meta = {"dense_key": dense_key(loose), "val_accuracy": baseline.accuracy, "dataset": loose.dataset.to_json()}
         save_checkpoint(run.path / "dense.ckpt", baseline.weights, baseline.arch, meta=meta)
         trials[label] = screen_candidates(run)
         print(f"{label}: screened to {run.trials.path}")

@@ -122,13 +122,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    weights, arch, _ = load_checkpoint(args.checkpoint)
+    weights, arch, meta = load_checkpoint(args.checkpoint)
     recipe = recipe_from_json(_read_text(args.recipe))
     seed = args.seed if args.method == "random" else None
     pruned = one_shot_prune(weights, arch, recipe, method=args.method, seed=seed)
-    save_checkpoint(
-        args.out_checkpoint, pruned.weights, pruned.arch, meta={"recipe": recipe.to_json(), "method": args.method}
-    )
+    out_meta = {"recipe": recipe.to_json(), "method": args.method}
+    if "dataset" in meta:
+        out_meta["dataset"] = meta["dataset"]
+    save_checkpoint(args.out_checkpoint, pruned.weights, pruned.arch, meta=out_meta)
     report = network_cost(arch, pruned.plan)
     _emit(canonical_json(report.to_json()), args.out)
     log.info("wrote pruned checkpoint to %s", args.out_checkpoint)
@@ -138,20 +139,30 @@ def _cmd_prune(args) -> int:
 def _cmd_train(args) -> int:
     schedule = (schedule_from_json(_read_text(args.schedule)) if args.schedule
                 else ScheduleSpec(args.kind, args.epochs))
-    dataset = dataset_from_json(_read_text(args.dataset)) if args.dataset else DatasetSpec()
+    dataset = dataset_from_json(_read_text(args.dataset)) if args.dataset else None
     np_dtype = np.float32 if args.dtype == "float32" else np.float64
     if (args.arch is None) == (args.checkpoint is None):
         raise ValidationError("give exactly one of --arch and --checkpoint")
     if args.checkpoint:
-        weights, arch, _ = load_checkpoint(args.checkpoint)
+        weights, arch, meta = load_checkpoint(args.checkpoint)
         weights = weights.astype(np_dtype)
+        if "dataset" in meta:
+            trained_on = dataset_from_json(meta["dataset"])
+            if dataset is not None and dataset != trained_on:
+                raise ValidationError(
+                    f"--dataset {canonical_json(dataset.to_json())} differs from the dataset "
+                    f"{args.checkpoint} was trained on, {canonical_json(trained_on.to_json())}"
+                )
+            dataset = trained_on
     else:
         arch = resolve_arch(args.arch)
         weights = init_weights(arch, args.seed, dtype=np_dtype)
+    dataset = dataset or DatasetSpec()
     data = dataset.build(dtype=np_dtype)
     result = train(weights, arch, data, schedule, args.seed)
     if args.out_checkpoint:
-        save_checkpoint(args.out_checkpoint, result.weights, arch, meta={"val_accuracy": result.trace[-1]})
+        meta = {"val_accuracy": result.trace[-1], "dataset": dataset.to_json()}
+        save_checkpoint(args.out_checkpoint, result.weights, arch, meta=meta)
         log.info("wrote checkpoint to %s", args.out_checkpoint)
     doc = {"val_accuracy": result.trace[-1], "trace": list(result.trace)}
     _emit(canonical_json(doc), args.out)
@@ -281,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="schedule JSON file")
     p.add_argument("--kind", choices=KINDS, default="scratch")
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--dataset", help="dataset spec JSON file")
+    p.add_argument(
+        "--dataset", help="dataset spec JSON file (default: the checkpoint's dataset, else the spec defaults)"
+    )
     p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-checkpoint", help="where to write trained weights")

@@ -17,14 +17,16 @@ stay below 2**53, so every ratio equals the scalar int / int division.
 """
 from __future__ import annotations
 
+import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .arch import ArchitectureSpec, LayerSpec, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
+from .network import tensor_layout
 from .schema import spec_to_json
 
 
@@ -40,23 +42,14 @@ class CostReport:
 
 
 def layer_cost(layer: LayerSpec, in_ch: int, out_ch: int) -> tuple[int, int]:
-    """(macs, params) for one layer at the given effective channel counts."""
+    """(macs, params) for one layer at the given effective channel counts: a
+    multiply per weight per output position, and the size of every tensor."""
     if not (1 <= in_ch <= layer.c_in):
         raise ValidationError(f"layer {layer.id}: in_ch {in_ch} outside [1, {layer.c_in}]")
     if not (1 <= out_ch <= layer.c_out):
         raise ValidationError(f"layer {layer.id}: out_ch {out_ch} outside [1, {layer.c_out}]")
-    if layer.kind == "conv":
-        k2 = layer.kernel * layer.kernel
-        macs = in_ch * out_ch * k2 * layer.out_h * layer.out_w
-        params = in_ch * out_ch * k2
-    else:
-        macs = in_ch * out_ch
-        params = in_ch * out_ch
-    if layer.has_bias:
-        params += out_ch
-    if layer.has_affine:
-        params += 2 * out_ch
-    return macs, params
+    shapes = dict(tensor_layout(replace(layer, c_in=in_ch, c_out=out_ch)))
+    return math.prod(shapes["w"]) * layer.out_h * layer.out_w, sum(map(math.prod, shapes.values()))
 
 
 def network_cost(

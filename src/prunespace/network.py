@@ -26,13 +26,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arch import ArchitectureSpec
+from .arch import ArchitectureSpec, LayerSpec
 from .dataset import Batch
 from .errors import ValidationError
 
 
 class NetworkWeights:
-    """Per-layer tensors keyed by role: "w", and optionally "b", "scale", "shift"."""
+    """Per-layer tensors keyed by role, as `tensor_layout` lays them out."""
 
     def __init__(self, tensors: dict[int, dict[str, np.ndarray]]):
         self.tensors = tensors
@@ -61,6 +61,19 @@ class NetworkWeights:
                 yield lid, role, self.tensors[lid][role]
 
 
+def tensor_layout(layer: LayerSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """A layer's tensors as (role, shape), roles in `NetworkWeights.items()` order:
+    "b" (c_out,) with a bias, "scale" and "shift" (c_out,) with an affine, then
+    "w", (c_in, c_out, k, k) for a conv and (c_in, c_out) for an fc."""
+    vector = (layer.c_out,)
+    w = (layer.c_in, layer.c_out, layer.kernel, layer.kernel) if layer.kind == "conv" else (layer.c_in, layer.c_out)
+    return (
+        (("b", vector),) * layer.has_bias
+        + (("scale", vector), ("shift", vector)) * layer.has_affine
+        + (("w", w),)
+    )
+
+
 def init_weights(arch: ArchitectureSpec, seed, dtype=np.float32) -> NetworkWeights:
     """Fan-in-scaled Gaussian init: w ~ Normal(0, g / fan_in) with g = 2 for
     layers followed by an activation, g = 1 for the classifier. Biases start
@@ -69,33 +82,32 @@ def init_weights(arch: ArchitectureSpec, seed, dtype=np.float32) -> NetworkWeigh
     tensors: dict[int, dict[str, np.ndarray]] = {}
     for l in arch.layers:
         t: dict[str, np.ndarray] = {}
-        if l.kind == "conv":
-            fan_in = l.c_in * l.kernel * l.kernel
-            gain = 2.0
-            shape = (l.c_in, l.c_out, l.kernel, l.kernel)
-        else:
-            fan_in = l.c_in
-            gain = 1.0 if l.id == arch.classifier_id else 2.0
-            shape = (l.c_in, l.c_out)
-        t["w"] = rng.normal(0.0, math.sqrt(gain / fan_in), size=shape).astype(dtype)
-        if l.has_bias:
-            t["b"] = np.zeros(l.c_out, dtype=dtype)
-        if l.has_affine:
-            t["scale"] = np.ones(l.c_out, dtype=dtype)
-            t["shift"] = np.zeros(l.c_out, dtype=dtype)
+        for role, shape in tensor_layout(l):
+            if role == "w":
+                fan_in = math.prod(shape[:1] + shape[2:])  # every axis but the filters'
+                gain = 1.0 if l.id == arch.classifier_id else 2.0
+                t[role] = rng.normal(0.0, math.sqrt(gain / fan_in), size=shape).astype(dtype)
+            else:
+                t[role] = (np.ones if role == "scale" else np.zeros)(shape, dtype=dtype)
         tensors[l.id] = t
     return NetworkWeights(tensors)
 
 
 def check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:
-    """Refuse weights that miss a layer or a tensor of one, or hold one of the wrong shape."""
+    """Refuse weights that are not exactly the tensors of `arch`: a missing,
+    misshapen or extra layer or role."""
+    extra = weights.tensors.keys() - arch.layer_map.keys()
+    if extra:
+        raise ValidationError(f"weights hold layer {min(extra)}, which the architecture lacks")
     for l in arch.layers:
         t = weights.tensors.get(l.id)
         if t is None:
             raise ValidationError(f"weights missing layer {l.id}")
-        shapes = {"w": (l.c_in, l.c_out, l.kernel, l.kernel) if l.kind == "conv" else (l.c_in, l.c_out)}
-        shapes.update(dict.fromkeys(("b",) * l.has_bias + ("scale", "shift") * l.has_affine, (l.c_out,)))
-        for role, shape in shapes.items():
+        layout = dict(tensor_layout(l))
+        extra = t.keys() - layout.keys()
+        if extra:
+            raise ValidationError(f"layer {l.id}: weights hold role {min(extra)!r}, which the layer lacks")
+        for role, shape in layout.items():
             if role not in t:
                 raise ValidationError(f"layer {l.id}: weights missing role {role!r}")
             if t[role].shape != shape:

@@ -436,7 +436,10 @@ def retrain_top_k(run: RunDir, trials: Sequence[TrialRecord]) -> PipelineResult:
         finalists.append(record)
         run.observe("full", record.index, seconds)
         if network is not None:
-            meta = {"index": record.index, "rank": rank, "drop": record.accuracy_drop}
+            meta = {
+                "index": record.index, "rank": rank, "drop": record.accuracy_drop,
+                "dataset": config.dataset.to_json(),
+            }
             save_checkpoint(run.path / f"finalist_{record.index}.ckpt", *network, meta=meta)
         log.info(
             "finalist %d (screen rank %d): full-schedule drop %s",
@@ -524,9 +527,8 @@ class RunDir:
         started = time.perf_counter()
         baseline = train_dense_baseline(config, data)
         self.observe("dense", "-", time.perf_counter() - started)
-        save_checkpoint(
-            path, baseline.weights, baseline.arch, meta={"dense_key": key, "val_accuracy": baseline.accuracy}
-        )
+        meta = {"dense_key": key, "val_accuracy": baseline.accuracy, "dataset": config.dataset.to_json()}
+        save_checkpoint(path, baseline.weights, baseline.arch, meta=meta)
         log.info("dense baseline: val accuracy %.4f", baseline.accuracy)
         return baseline
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import ArchitectureSpec, PrunableUnit, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
-from .network import NetworkWeights, check_weights
+from .network import NetworkWeights, check_weights, tensor_layout
 from .sampling import PruningRecipe
 from .seeds import derive_seed
 
@@ -96,29 +96,16 @@ def one_shot_prune(
         for lid in unit.layer_ids:
             kept_indices[lid] = chosen
 
-    new_layers = []
+    new_layers, tensors = [], {}
     for l in arch.layers:
         prods = arch.producers[l.id]
-        new_in = l.c_in if not prods else plan.kept[prods[0]]
-        new_layers.append(
-            replace(l, c_in=new_in, c_out=plan.kept[l.id], out_h=0, out_w=0)
-        )
-    new_arch = ArchitectureSpec(
-        arch.name, arch.input_shape, new_layers, arch.edges, arch.classifier_id
-    )
-
-    tensors: dict[int, dict[str, np.ndarray]] = {}
-    for l in arch.layers:
-        t = weights.tensors[l.id]
+        in_keep = np.asarray(kept_indices[prods[0]] if prods else range(l.c_in), dtype=np.intp)
         out_keep = np.asarray(kept_indices[l.id], dtype=np.intp)
-        prods = arch.producers[l.id]
-        if prods:
-            in_keep = np.asarray(kept_indices[prods[0]], dtype=np.intp)
-        else:
-            in_keep = np.arange(l.c_in, dtype=np.intp)
-        new_t: dict[str, np.ndarray] = {"w": np.ascontiguousarray(t["w"][in_keep][:, out_keep])}
-        for role in ("b", "scale", "shift"):
-            if role in t:
-                new_t[role] = np.ascontiguousarray(t[role][out_keep])
-        tensors[l.id] = new_t
+        new_layers.append(replace(l, c_in=len(in_keep), c_out=len(out_keep), out_h=0, out_w=0))
+        t = weights.tensors[l.id]
+        tensors[l.id] = {
+            role: np.ascontiguousarray(t[role][in_keep][:, out_keep] if role == "w" else t[role][out_keep])
+            for role, _ in tensor_layout(l)
+        }
+    new_arch = ArchitectureSpec(arch.name, arch.input_shape, new_layers, arch.edges, arch.classifier_id)
     return PrunedNetwork(NetworkWeights(tensors), new_arch, plan, kept_indices)

@@ -6,8 +6,8 @@ re-parsed bit-for-bit. Trial logs are append-only JSONL with a header line
 carrying the schema version and a hash of the generating config; indices must
 increase strictly. Checkpoints use a small self-describing binary container
 (JSON header plus raw little-endian tensor bytes) with no timestamps; the
-header holds the architecture document of the weights, so a checkpoint loads
-as weights and architecture together, checked against each other. A log
+header holds the architecture document of the weights, which lays out the
+tensor bytes, so a checkpoint loads as weights and architecture together. A log
 header, a trial line and a checkpoint header are each a spec, written by
 `spec_to_json` and read back strictly by `spec_from_json`.
 Whole files are written through `write_atomic`, so none is ever left half
@@ -29,14 +29,14 @@ import numpy as np
 from .analysis import DistributionSummary, EDFCurve, RegimeRow, SpaceComparison, TrialRecord
 from .arch import ArchitectureSpec, arch_to_json, load_arch
 from .errors import LogError, SchemaError, ValidationError
-from .network import NetworkWeights, check_weights
+from .network import NetworkWeights, check_weights, tensor_layout
 from .schema import spec_from_json, spec_to_json
 
 
 log = logging.getLogger("prunespace")
 
 SCHEMA_VERSION = 1  # of trial logs
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _CKPT_MAGIC = b"PSCKPT1\n"
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
@@ -221,61 +221,47 @@ def read_trials(path: str | Path) -> tuple[dict, list[TrialRecord]]:
 
 
 @dataclass(frozen=True)
-class CheckpointEntry:
-    """One tensor of a checkpoint: its place in the weights, its shape, and its body bytes."""
-
-    layer: int
-    role: str
-    shape: tuple[int, ...]
-    offset: int
-    nbytes: int
-
-    to_json = spec_to_json
-
-
-@dataclass(frozen=True)
 class CheckpointHeader:
     """The JSON line between a checkpoint's magic and its tensor bytes; `arch` is the
-    architecture document the tensors belong to."""
+    architecture document the tensors belong to, and lays out the body."""
 
     version: int
     arch: dict
     dtype: str
     meta: dict
-    entries: tuple[CheckpointEntry, ...]
 
     def __post_init__(self):
         if self.dtype not in _DTYPES:
             raise ValidationError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
-        itemsize = np.dtype(_DTYPES[self.dtype]).itemsize
-        for i, e in enumerate(self.entries):
-            if e.offset < 0 or min(e.shape, default=0) < 0 or e.nbytes != math.prod(e.shape) * itemsize:
-                raise ValidationError(
-                    f"entries[{i}] must lie at offset >= 0 with nbytes = prod(shape) * {itemsize}, "
-                    f"got offset {e.offset}, shape {list(e.shape)}, nbytes {e.nbytes}"
-                )
+
+
+def _body_layout(arch: ArchitectureSpec):
+    """(layer id, role, shape) of each tensor of a checkpoint body, in body order."""
+    for l in sorted(arch.layers, key=lambda l: l.id):
+        for role, shape in tensor_layout(l):
+            yield l.id, role, shape
 
 
 def save_checkpoint(
     path: str | Path, weights: NetworkWeights, arch: ArchitectureSpec, meta: Mapping | None = None
 ) -> None:
     """Versioned binary container of `weights` and the `arch` they belong to;
-    identical weights and arch give identical bytes."""
-    dtype = np.dtype(weights.dtype)
-    entries, offset = [], 0
-    for lid, role, a in weights.items():
-        entries.append(CheckpointEntry(lid, role, a.shape, offset, a.size * dtype.itemsize))
-        offset += entries[-1].nbytes
-    header = CheckpointHeader(CHECKPOINT_VERSION, arch_to_json(arch), dtype.name, dict(meta or {}), tuple(entries))
-    blobs = [np.ascontiguousarray(a, dtype=_DTYPES[dtype.name]).tobytes() for _, _, a in weights.items()]
+    identical weights and arch give identical bytes. Weights that are not
+    exactly the tensors of `arch` are refused before anything is written."""
+    check_weights(weights, arch)
+    header = CheckpointHeader(CHECKPOINT_VERSION, arch_to_json(arch), np.dtype(weights.dtype).name, dict(meta or {}))
+    blobs = [
+        np.ascontiguousarray(weights.tensors[lid][role], dtype=_DTYPES[header.dtype]).tobytes()
+        for lid, role, _ in _body_layout(arch)
+    ]
     write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(spec_to_json(header)).encode(), b"\n", *blobs]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, ArchitectureSpec, dict]:
     """The weights, their architecture (from the header) and the meta of a checkpoint.
 
-    Refuses a checkpoint of another version, and one whose tensors do not fit
-    its own architecture.
+    Refuses a checkpoint of another version, and a body longer or shorter
+    than its own architecture lays out.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -285,24 +271,26 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, ArchitectureSpec,
         body = f.read()
     try:
         doc = json.loads(header_line)
-        # checked first: a version-1 header also fails the version-2 spec, on `arch`
+        # checked first: an older header also fails this version's spec (on `arch` or `entries`)
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ValidationError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
         header = spec_from_json(CheckpointHeader, doc)
         arch = load_arch(header.arch)
+        dtype = np.dtype(_DTYPES[header.dtype])
+        layout = list(_body_layout(arch))
+        nbytes = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize
+        if len(body) != nbytes:
+            raise ValidationError(f"checkpoint body holds {len(body)} bytes, its architecture lays out {nbytes}")
         tensors: dict[int, dict[str, np.ndarray]] = {}
-        for e in header.entries:
-            raw = body[e.offset : e.offset + e.nbytes]
-            if len(raw) != e.nbytes:
-                raise ValidationError("truncated checkpoint body")
-            a = np.frombuffer(raw, dtype=_DTYPES[header.dtype]).reshape(e.shape).copy()
-            tensors.setdefault(e.layer, {})[e.role] = a
-        weights = NetworkWeights(tensors)
-        check_weights(weights, arch)
+        offset = 0
+        for lid, role, shape in layout:
+            a = np.frombuffer(body, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
+            tensors.setdefault(lid, {})[role] = a
+            offset += a.nbytes
     except (json.JSONDecodeError, ValidationError) as e:
         raise SchemaError(f"{path}: {e}") from e
-    return weights, arch, header.meta
+    return NetworkWeights(tensors), arch, header.meta
 
 
 # -- report CSVs ----------------------------------------------------------------

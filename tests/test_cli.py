@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from prunespace import (
     SpaceSpec,
     TrialLog,
     TrialRecord,
+    ValidationError,
     builtin_arch,
     finetune_schedule,
     init_weights,
@@ -154,9 +156,10 @@ def test_sample_infeasible_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_train_prune_train_round_trip(tmp_path, capsys):
+def test_train_prune_train_round_trip(tmp_path, capsys, caplog):
     ds = tmp_path / "ds.json"
     ds.write_text(json.dumps({"per_class": 10, "shape": [3, 8, 8]}))
+    trained_on = DatasetSpec(per_class=10, shape=(3, 8, 8)).to_json()
     dense_ckpt = tmp_path / "dense.ckpt"
     code, out = _run(
         capsys, "train", "--arch", "chain3", "--kind", "scratch", "--epochs", "2",
@@ -166,7 +169,7 @@ def test_train_prune_train_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert 0.0 <= doc["val_accuracy"] <= 1.0
     assert len(doc["trace"]) == 2
-    assert dense_ckpt.exists()
+    assert load_checkpoint(dense_ckpt)[2] == {"val_accuracy": doc["val_accuracy"], "dataset": trained_on}
 
     recipe = tmp_path / "r.json"
     recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.5, 0.5]}))
@@ -178,17 +181,21 @@ def test_train_prune_train_round_trip(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["flops"] == 6942
     weights, arch, meta = load_checkpoint(pruned_ckpt)
-    assert meta == {"recipe": {"arch": "chain3", "ratios": [0.5, 0.5]}, "method": "l2"}
+    assert meta == {"recipe": {"arch": "chain3", "ratios": [0.5, 0.5]}, "method": "l2", "dataset": trained_on}
     assert weights.tensors[0]["w"].shape == (3, 2, 3, 3)
     assert [l.c_out for l in arch.layers] == [2, 3, 10]
 
-    # the pruned checkpoint carries its own (reduced) architecture
-    code, out = _run(
-        capsys, "train", "--checkpoint", str(pruned_ckpt), "--kind", "finetune",
-        "--epochs", "1", "--dataset", str(ds),
-    )
+    # the pruned checkpoint carries its own (reduced) architecture, and the
+    # dataset it was trained on: 8x8 inputs, which the spec defaults are not
+    argv = ["train", "--checkpoint", str(pruned_ckpt), "--kind", "finetune", "--epochs", "1"]
+    code, out = _run(capsys, *argv)
     assert code == 0
     assert len(json.loads(out)["trace"]) == 1
+    assert _run(capsys, *argv, "--dataset", str(ds))[0] == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"per_class": 20, "shape": [3, 8, 8]}))
+    _exits_3_naming(capsys, caplog, [*argv, "--dataset", str(other)], f"{pruned_ckpt} was trained on")
+    assert '"per_class":20' in caplog.text and '"per_class":10' in caplog.text
 
 
 def test_train_requires_a_network(tmp_path, capsys, caplog):
@@ -394,35 +401,39 @@ def test_malformed_log_header_exits_3(header, text, tmp_path, capsys, caplog):
     _exits_3_naming(capsys, caplog, argv, f"line 1: {text}")
 
 
-def _edit_checkpoint_header(path, edit):
+def _edit_checkpoint(path, edit_header, edit_body):
     magic, _, rest = path.read_bytes().partition(b"\n")
     header, _, body = rest.partition(b"\n")
     doc = json.loads(header)
-    edit(doc)
-    path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + body)
+    if edit_header:
+        edit_header(doc)
+    path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + (edit_body(body) if edit_body else body))
 
 
-# Each is (an edit of a valid checkpoint header, text the refusal must name). Before
-# checkpoint headers were read as specs, the first two ended in a traceback (exit 1).
-# A version-1 header names its architecture instead of holding it.
+# Each is (an edit of a valid chain3 float32 checkpoint's header, one of its body, text
+# the refusal must name). A version-1 header names its architecture instead of holding
+# it; a version-2 header lists each tensor's place in the body as `entries`. The body
+# is 404 float32 parameters, 1616 bytes, ending in the classifier's (6, 10) w.
 _MALFORMED_CHECKPOINTS = [
-    ("no entries", lambda doc: doc.pop("entries"), "CheckpointHeader misses the required field 'entries'"),
-    ("shape off nbytes", lambda doc: doc["entries"][0].update(shape=[3, 4, 3, 2]), "entries[0] must lie"),
-    ("offset string", lambda doc: doc["entries"][0].update(offset="0"),
-     "CheckpointHeader.entries[0].offset must be an integer"),
-    ("version 1", lambda doc: doc.update(version=1, arch="chain3"), "checkpoint version 1 unsupported (expected 2)"),
-    ("arch off shapes", lambda doc: doc["arch"]["layers"][0].update(k=1, pad=0),
-     "layer 0: w shape (3, 4, 3, 3) != (3, 4, 1, 1)"),
+    ("version 1", lambda doc: doc.update(version=1, arch="chain3"), None,
+     "checkpoint version 1 unsupported (expected 3)"),
+    ("version 2", lambda doc: doc.update(version=2), None, "checkpoint version 2 unsupported (expected 3)"),
+    ("one tensor short", None, lambda body: body[: -6 * 10 * 4],
+     "checkpoint body holds 1376 bytes, its architecture lays out 1616"),
+    ("trailing bytes", None, lambda body: body + bytes(4),
+     "checkpoint body holds 1620 bytes, its architecture lays out 1616"),
+    ("arch off shapes", lambda doc: doc["arch"]["layers"][0].update(k=1, pad=0), None,
+     "checkpoint body holds 1616 bytes, its architecture lays out 1232"),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit, text", [c[1:] for c in _MALFORMED_CHECKPOINTS], ids=[c[0] for c in _MALFORMED_CHECKPOINTS]
+    "edit_header, edit_body, text", [c[1:] for c in _MALFORMED_CHECKPOINTS], ids=[c[0] for c in _MALFORMED_CHECKPOINTS]
 )
-def test_malformed_checkpoint_header_exits_3(edit, text, tmp_path, capsys, caplog):
+def test_malformed_checkpoint_header_exits_3(edit_header, edit_body, text, tmp_path, capsys, caplog):
     ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
     save_checkpoint(ckpt, init_weights(builtin_arch("chain3"), seed=0), builtin_arch("chain3"))
-    _edit_checkpoint_header(ckpt, edit)
+    _edit_checkpoint(ckpt, edit_header, edit_body)
     recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.5, 0.5]}))
     argv = [
         "prune", "--checkpoint", str(ckpt), "--recipe", str(recipe),
@@ -439,19 +450,25 @@ def _short_bias(weights):
     weights.tensors[0]["b"] = weights.tensors[0]["b"][:2]
 
 
+def _extra_layer(weights):
+    weights.tensors[3] = weights.tensors[2]
+
+
+def _extra_role(weights):
+    weights.tensors[2]["scale"] = weights.tensors[2]["b"]
+
+
+# Weights off their architecture are refused when saved, so no checkpoint that
+# `prune` reads can hold them: nothing is written, not even the temp file.
 @pytest.mark.parametrize("edit, text", [
     (_drop_w, "layer 1: weights missing role 'w'"),
     (_short_bias, "layer 0: b shape (2,) != (4,)"),
-], ids=["no w", "short bias"])
-def test_prune_checkpoint_missing_a_role_exits_3(edit, text, tmp_path, capsys, caplog):
+    (_extra_layer, "weights hold layer 3, which the architecture lacks"),
+    (_extra_role, "layer 2: weights hold role 'scale', which the layer lacks"),
+], ids=["no w", "short bias", "extra layer", "extra role"])
+def test_prune_checkpoint_missing_a_role_exits_3(edit, text, tmp_path):
     weights = init_weights(builtin_arch("chain3"), seed=0)
     edit(weights)
-    ckpt, recipe = tmp_path / "w.ckpt", tmp_path / "r.json"
-    save_checkpoint(ckpt, weights, builtin_arch("chain3"))
-    recipe.write_text(json.dumps({"arch": "chain3", "ratios": [0.25, 0.5]}))
-    argv = [
-        "prune", "--checkpoint", str(ckpt), "--recipe", str(recipe),
-        "--out-checkpoint", str(tmp_path / "out.ckpt"),
-    ]
-    _exits_3_naming(capsys, caplog, argv, text)
-    assert not (tmp_path / "out.ckpt").exists()
+    with pytest.raises(ValidationError, match=re.escape(text)):
+        save_checkpoint(tmp_path / "w.ckpt", weights, builtin_arch("chain3"))
+    assert list(tmp_path.iterdir()) == []

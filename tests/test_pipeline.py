@@ -13,6 +13,7 @@ from prunespace import (
     DatasetSpec,
     PipelineConfig,
     RunDir,
+    ScheduleSpec,
     SchemaError,
     SpaceSpec,
     TrainingDiverged,
@@ -710,18 +711,26 @@ def test_killed_pool_worker_exits_6_naming_the_unrecorded_candidates(tmp_path, m
     assert f"screen phase; candidates {unrecorded} were not recorded" in caplog.text
 
 
-def test_finalist_checkpoints_reload_to_their_logged_drop(finished_run, capsys):
+def test_finalist_checkpoints_reload_to_their_logged_drop(finished_run, tmp_path, capsys):
     # a finalist's checkpoint is the subnetwork the run found: it loads with
-    # its pruned architecture, scores its logged drop, and trains on
+    # its pruned architecture, scores its logged drop, names the run's
+    # dataset, saves back to its own bytes, and trains on that dataset
     winners = json.loads((finished_run / "winners.json").read_text())
-    val = _mini_config().dataset.build()[1]
+    dataset = _mini_config().dataset
+    data = dataset.build()
+    assert load_checkpoint(finished_run / "dense.ckpt")[2]["dataset"] == dataset.to_json()
     for finalist in winners["finalists"]:
         path = finished_run / f"finalist_{finalist['index']}.ckpt"
         weights, arch, meta = load_checkpoint(path)
         assert meta["drop"] == finalist["accuracy_drop"]
-        assert accuracy_drop(winners["dense_accuracy"], evaluate(weights, arch, val)) == finalist["accuracy_drop"]
+        assert meta["dataset"] == dataset.to_json()
+        assert accuracy_drop(winners["dense_accuracy"], evaluate(weights, arch, data[1])) == finalist["accuracy_drop"]
+        save_checkpoint(tmp_path / "again.ckpt", weights, arch, meta=meta)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        capsys.readouterr()
         assert cli_main(["train", "--checkpoint", str(path), "--kind", "finetune", "--epochs", "1"]) == 0
-    capsys.readouterr()
+        trace = train(weights, arch, data, ScheduleSpec("finetune", 1), 0).trace
+        assert json.loads(capsys.readouterr().out)["trace"] == list(trace)
 
 
 def _diverging_config():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from prunespace import (
     CostReport,
     LogError,
+    RegimeRow,
     TrialLog,
     TrialRecord,
     ValidationError,
@@ -32,6 +34,7 @@ from prunespace import (
     one_shot_prune,
     prunable_units,
     read_trials,
+    regimes_csv,
     save_checkpoint,
     summary_csv,
     trial_from_json,
@@ -448,13 +451,13 @@ def _format_bytes(tmp: Path) -> dict[str, bytes]:
 
 
 # sha256 of each format's bytes: trial lines and logs as the hand-written emitters
-# wrote them; checkpoints as of version 2, whose header holds the arch document
+# wrote them; checkpoints as of version 3, whose header's arch document lays out the body
 _FORMAT_DIGESTS = {
     "trial.finite": "f30da929e5d6faa48b5b69addd5839a3fe673bacc26acc18918a6211deeb269b",
     "trial.diverged": "d5a29ed30b6a9e9d1b3b0c3c07c875de6671e9d11d57a93b776bb1de8eef50bb",
     "log": "a4fbf289e3c8cc3e17bfac23ea61ae52348927ddbc751233c7ebafba48a91baa",
-    "ckpt.chain3.float32": "1bf8eca623061d3ed3117c2ec88d285ebec3a504e221e437bbf6cfc00016c36b",
-    "ckpt.resnet-tiny.float64": "158366421877a13f9be7b6edd584fd9a7d7146fc7d8d579a730a1dfd50c72aa0",
+    "ckpt.chain3.float32": "84bc654d9f8db3e4ebb9b06b3139bc043f8762666acfabc042c5040e4342f4ce",
+    "ckpt.resnet-tiny.float64": "873c3de3cb52324f60cb4989059f7fc028973fa38046f36cde666a0adff8f4cd",
 }
 
 
@@ -497,6 +500,19 @@ def test_winners_csv_shape():
     assert ";" in first[-1]  # recipe stays one cell
     second = rows[2].split(",")
     assert second[0] == "2" and second[2] == "inf"
+
+
+def test_regimes_csv_golden():
+    # the header and column order are a frozen wire format: RegimeRow's fields, in order
+    header = "target_cflops,flops_reduction,winner_mcb_q1,winner_mcb_median,winner_mcb_q3,best_drop,uniform_mcb"
+    assert header == ",".join(f.name for f in dataclasses.fields(RegimeRow))
+    rows = [RegimeRow(0.5, 2.0, 0.75, 1.0, 1.25, -0.5, 1.0 / 3), RegimeRow(0.1, 10.0, 1.5, 2.0, 2.5, 12.0, 0.1)]
+    assert regimes_csv(rows) == (
+        f"{header}\n"
+        "0.5,2.0,0.75,1.0,1.25,-0.5,0.33333333333333331\n"
+        "0.10000000000000001,10.0,1.5,2.0,2.5,12.0,0.10000000000000001\n"
+    )
+    assert regimes_csv([]) == f"{header}\n"
 
 
 def test_compare_csv_shape():
