@@ -6,16 +6,26 @@ a consumer with several producers sums their outputs first (residual add),
 and the classifier applies global average pooling before its fc transform.
 
 Conv weights are stored (c_in, c_out, k, k) and fc weights (c_in, c_out);
-filters are therefore columns w[:, j]. Activations are channels-last
-(B, h, w, c) from the moment `forward` receives the NCHW batch, which it
-transposes once, until `loss_and_grads` returns.
+filters are therefore columns w[:, j]. Activations are channel-major
+(c, B, h, w) from the moment `forward` receives the NCHW batch, which it
+transposes once, until `loss_and_grads` returns. Per-channel ops are (c, 1)
+broadcasts over the (c, B * h * w) rows.
 
 Every conv kernel is k * k BLAS GEMMs, one per kernel offset (ki, kj), over
-the window of the zero-padded input that the offset reads, a stride-sliced
-(B, oh, ow, c_in) view:
-  forward  z  += window @ w[:, :, ki, kj]       (B * oh * ow, c_out)
-  dW       dw[:, :, ki, kj] = window.T @ dz     (c_in, c_out)
-  dX       window of dx_pad += dz @ w[:, :, ki, kj].T, a scatter-add
+the (c_in, n) columns of the zero-padded (c_in, B, Hp, Wp) input that the
+offset reads:
+  forward  z  += w[:, :, ki, kj].T @ cols      (c_out, n)
+  dW       dw[:, :, ki, kj] = cols @ dz.T       (c_in, c_out)
+  dX       dx_pad at cols += w[:, :, ki, kj] @ dz
+A stride-1 conv reads the flat grid xp.reshape(c_in, B * Hp * Wp): column p
+is grid position p, and offset (ki, kj) reads the contiguous slice
+[s, s + n), s = ki * Wp + kj, n = B * Hp * Wp - (k - 1) * (Wp + 1), with no
+copy. Its output lands on the same grid and is compacted once from
+[:, :, :oh, :ow]; the other columns are the border and the seams between
+batch items. So dz sits on a zeroed grid: a seam column holding anything
+else would leak into dW and into the next item's dX. Other strides copy
+the stride-sliced window of each offset to (c_in, B * oh * ow), and dX adds
+each product back onto that window.
 Gradients are hand-derived reverse-mode over the same graph.
 """
 from __future__ import annotations
@@ -118,63 +128,69 @@ def _as_inputs(batch) -> np.ndarray:
     return batch.inputs if isinstance(batch, Batch) else np.asarray(batch)
 
 
-def _window(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(B, oh, ow, c_in) view of the padded NHWC input that kernel offset (ki, kj) reads."""
-    return xp[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-
-
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """(B, h + 2 * pad, w + 2 * pad, c) zero-padded copy of x, or x itself when pad is 0.
+    """(c, B, h + 2 * pad, w + 2 * pad) zero-padded copy of x, or x itself when pad is 0.
 
     One allocation and one slice copy: `np.pad` costs about twice as much.
     """
     if not pad:
         return x
-    b, h, w, c = x.shape
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x
+    c, b, h, w = x.shape
+    xp = np.zeros((c, b, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     return xp
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(B * h, w * c) view of a contiguous (B, h, w, c) array.
+def _views(a: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> list[np.ndarray]:
+    """Per kernel offset (ki, kj), row-major, the view of a padded (c, B, Hp, Wp) array it reads:
+    for stride 1 the (c, n) flat-grid slice [s, s + n), else the (c, B, oh, ow) window."""
+    c, wp = a.shape[0], a.shape[3]
+    flat, n = a.reshape(c, -1), a[0].size - (kernel - 1) * (wp + 1)
+    return [
+        flat[:, ki * wp + kj : ki * wp + kj + n] if stride == 1
+        else a[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
+        for ki in range(kernel)
+        for kj in range(kernel)
+    ]
 
-    numpy runs an elementwise op over long contiguous rows several times
-    faster than over rows only c wide, so a per-channel (c,) vector is
-    applied to this view as one row, the vector tiled w times.
-    """
-    b, h, w, c = a.shape
-    return a.reshape(b * h, w * c)
+
+def _taps(w: np.ndarray) -> np.ndarray:
+    """(k * k, c_in, c_out) copy of a conv weight, one contiguous matrix per kernel offset."""
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(-1, *w.shape[:2])
 
 
 def _conv(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(B, oh, ow, c_out) cross-correlation of a padded NHWC input, one GEMM per kernel offset."""
-    b, c_in = xp.shape[0], xp.shape[3]
-    kernel = w.shape[2]
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, c_in, c_out)
-    parts = (
-        _window(xp, ki, kj, stride, oh, ow).reshape(-1, c_in) @ taps[ki, kj]
-        for ki in range(kernel)
-        for kj in range(kernel)
-    )
-    z = next(parts)
-    for part in parts:
-        z += part
-    return z.reshape(b, oh, ow, -1)
+    """(c_out, B, oh, ow) cross-correlation of a padded (c_in, B, Hp, Wp) input.
+
+    Each offset's GEMM writes one reused buffer, which is added into the output grid.
+    """
+    c_in, c_out = w.shape[:2]
+    taps, views = _taps(w), _views(xp, w.shape[2], stride, oh, ow)
+    z = np.empty((c_out, *(xp.shape[1:] if stride == 1 else (xp.shape[1], oh, ow))), dtype=xp.dtype)
+    acc = z.reshape(c_out, -1)[:, : views[0].size // c_in]
+    np.matmul(taps[0].T, views[0].reshape(c_in, -1), out=acc)
+    buf = np.empty(acc.shape, dtype=acc.dtype)
+    for tap, v in zip(taps[1:], views[1:]):
+        acc += np.matmul(tap.T, v.reshape(c_in, -1), out=buf)
+    return np.ascontiguousarray(z[:, :, :oh, :ow])
 
 
 def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.ndarray, dict]:
     """(logits, cache) for an NCHW batch.
 
-    The cache carries every intermediate the backward pass needs, channels-last:
-    `outputs[lid]` and a conv's `z_pre`/`z_act` are (B, h, w, c), and `x_pad`
-    is the conv's zero-padded (B, h + 2p, w + 2p, c_in) input.
+    The cache carries every intermediate the backward pass needs, channel-major:
+    `outputs[lid]` and a conv's `z_pre`/`z_act` are (c, B, h, w), and `x_pad`
+    is the conv's zero-padded (c_in, B, h + 2p, w + 2p) input, whose flat grid
+    a stride-1 conv reads; the classifier's `feats` are (B, c). A stride-1 conv
+    computes its output on that grid, border and batch seams included, and
+    compacts it; its backward puts dz on a zeroed grid so those columns add
+    nothing to dW and dX.
     """
     x = _as_inputs(batch)
     if x.ndim != 4 or x.shape[1:] != arch.input_shape:
         raise ValidationError(f"inputs shaped {x.shape[1:]} do not match {arch.input_shape}")
     check_weights(weights, arch)
-    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    x = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     cache: dict = {"outputs": {}, "layers": {}}
     outputs = cache["outputs"]
     logits = None
@@ -193,21 +209,21 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
         if l.kind == "conv":
             xp = _pad(x_in, l.padding)
             z = _conv(xp, t["w"], l.stride, l.out_h, l.out_w)
-            rows, ow = _rows(z), l.out_w
+            rows = z.reshape(len(z), -1)
             if "b" in t:
-                rows += np.tile(t["b"], ow)
+                rows += t["b"][:, None]
             z_pre = z
             if "scale" in t:
-                z = (rows * np.tile(t["scale"], ow) + np.tile(t["shift"], ow)).reshape(z.shape)
+                z = (rows * t["scale"][:, None] + t["shift"][:, None]).reshape(z.shape)
             out = np.maximum(z, 0.0)
-            cache["layers"][lid] = {"x_pad": xp, "z_pre": z_pre, "z_act": z, "x_shape": x_in.shape}
+            cache["layers"][lid] = {"x_pad": xp, "z_pre": z_pre, "z_act": z}
             outputs[lid] = out
         else:
-            feats = x_in.mean(axis=(1, 2))
+            feats = x_in.mean(axis=(2, 3)).T
             logits = feats @ t["w"]
             if "b" in t:
                 logits = logits + t["b"]
-            cache["layers"][lid] = {"feats": feats, "spatial": x_in.shape[1:3]}
+            cache["layers"][lid] = {"feats": feats, "spatial": x_in.shape[2:]}
             outputs[lid] = logits
     return outputs[arch.classifier_id], cache
 
@@ -253,21 +269,19 @@ def loss_and_grads(
                 g["b"] = dout.sum(axis=0)
             dfeats = dout @ t["w"].T
             h, w_sp = c["spatial"]
-            dx = np.broadcast_to(
-                dfeats[:, None, None, :] / (h * w_sp), (dfeats.shape[0], h, w_sp, dfeats.shape[1])
-            )
+            dx = np.broadcast_to((dfeats.T / (h * w_sp))[:, :, None, None], (*dfeats.shape[::-1], h, w_sp))
         else:
             dz = dout * (c["z_act"] > 0)
+            rows = dz.reshape(len(dz), -1)
             if "scale" in t:
-                g["scale"] = _channel_sum(dz * c["z_pre"])
-                g["shift"] = _channel_sum(dz)
-                dz = (_rows(dz) * np.tile(t["scale"], l.out_w)).reshape(dz.shape)
+                g["scale"] = (rows * c["z_pre"].reshape(rows.shape)).sum(axis=1)
+                g["shift"] = rows.sum(axis=1)
+                rows = rows * t["scale"][:, None]
             if "b" in t:
-                g["b"] = _channel_sum(dz)
-            g["w"] = _conv_weight_grad(c["x_pad"], dz, l.kernel, l.stride)
-            dx = None
-            if arch.producers[lid]:
-                dx = _conv_input_grad(dz, t["w"], c["x_shape"], l.kernel, l.stride, l.padding)
+                g["b"] = rows.sum(axis=1)
+            g["w"], dx = _conv_grads(
+                c["x_pad"], rows.reshape(dz.shape), t["w"], l.stride, l.padding, bool(arch.producers[lid])
+            )
         grads[lid] = g
         prods = arch.producers[lid]
         for p in prods:
@@ -278,43 +292,27 @@ def loss_and_grads(
     return loss, grads
 
 
-def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """(c,) sum of a (B, h, w, c) array over all but the channel axis.
-
-    Sums the rows of `_rows(a)` first, then the w channel vectors.
-    """
-    b, h, w, c = a.shape
-    return _rows(a).sum(axis=0).reshape(w, c).sum(axis=0)
-
-
-def _conv_weight_grad(xp: np.ndarray, dz: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(c_in, c_out, k, k) weight gradient: window.T @ dz for each kernel offset."""
-    b, oh, ow, c_out = dz.shape
-    c_in = xp.shape[3]
-    dz2 = dz.reshape(-1, c_out)
-    dw = np.empty((c_in, c_out, kernel, kernel), dtype=dz.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            dw[:, :, ki, kj] = _window(xp, ki, kj, stride, oh, ow).reshape(-1, c_in).T @ dz2
-    return dw
-
-
-def _conv_input_grad(
-    dz: np.ndarray, w: np.ndarray, x_shape: tuple, kernel: int, stride: int, padding: int
-) -> np.ndarray:
-    """(B, h, w, c_in) input gradient: dz @ w.T for each kernel offset, scattered
-    back onto the window of the padded input that the offset read."""
-    b, h, w_sp, c_in = x_shape
-    _, oh, ow, c_out = dz.shape
-    dz2 = dz.reshape(-1, c_out)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (k, k, c_in, c_out)
-    dxp = np.zeros((b, h + 2 * padding, w_sp + 2 * padding, c_in), dtype=dz.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            _window(dxp, ki, kj, stride, oh, ow)[...] += (dz2 @ taps[ki, kj].T).reshape(b, oh, ow, c_in)
-    if padding:
-        return dxp[:, padding : padding + h, padding : padding + w_sp]
-    return dxp
+def _conv_grads(
+    xp: np.ndarray, dz: np.ndarray, w: np.ndarray, stride: int, padding: int, with_dx: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(dW (c_in, c_out, k, k), dX (c_in, B, h, w) or None): GEMMs per kernel offset."""
+    c_in, c_out, kernel = w.shape[:3]
+    oh, ow = dz.shape[2:]
+    if stride == 1:  # on a zeroed grid, the border and seam columns add nothing
+        grid = np.zeros((c_out, *xp.shape[1:]), dtype=dz.dtype)
+        grid[:, :, :oh, :ow] = dz
+        dz = grid
+    views = _views(xp, kernel, stride, oh, ow)
+    dzf = dz.reshape(c_out, -1)[:, : views[0].size // c_in]
+    dw = np.stack([v.reshape(c_in, -1) @ dzf.T for v in views])
+    dw = dw.reshape(kernel, kernel, c_in, c_out).transpose(2, 3, 0, 1)
+    if not with_dx:
+        return dw, None
+    dxp, buf = np.zeros(xp.shape, dtype=dz.dtype), None
+    for tap, v in zip(_taps(w), _views(dxp, kernel, stride, oh, ow)):
+        buf = np.matmul(tap, dzf, out=buf)
+        v += buf.reshape(v.shape)
+    return dw, dxp[:, :, padding : xp.shape[2] - padding, padding : xp.shape[3] - padding]
 
 
 def evaluate(

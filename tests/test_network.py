@@ -33,7 +33,7 @@ def _conv_chain(c_in, c_out, k, stride, pad, h, w, bias=True):
 
 
 @pytest.mark.parametrize(
-    "k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0), (5, 1, 2)]
+    "k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 1, 0), (3, 2, 1), (3, 2, 0), (5, 1, 2)]
 )
 def test_conv_matches_naive(k, stride, pad):
     arch = _conv_chain(2, 4, k, stride, pad, h=9, w=7)
@@ -43,7 +43,7 @@ def test_conv_matches_naive(k, stride, pad):
     _, cache = forward(weights, arch, x)
     t = weights.tensors[0]
     want = conv2d_naive(x, t["w"], stride, pad) + t["b"][None, :, None, None]
-    got = cache["layers"][0]["z_pre"].transpose(0, 3, 1, 2)  # cache is channels-last
+    got = cache["layers"][0]["z_pre"].transpose(1, 0, 2, 3)  # cache is channel-major
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -94,10 +94,10 @@ def test_residual_sum_feeds_consumer():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 2, 6, 6))
     _, cache = forward(weights, arch, x)
-    summed = (cache["outputs"][0] + cache["outputs"][1]).transpose(0, 3, 1, 2)
+    summed = (cache["outputs"][0] + cache["outputs"][1]).transpose(1, 0, 2, 3)
     t = weights.tensors[2]
     want = conv2d_naive(summed, t["w"], 2, 1) + t["b"][None, :, None, None]
-    got = cache["layers"][2]["z_pre"].transpose(0, 3, 1, 2)
+    got = cache["layers"][2]["z_pre"].transpose(1, 0, 2, 3)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_classifier_pools_globally():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 3, 8, 8))
     logits, cache = forward(weights, arch, x)
-    feats = cache["outputs"][1].mean(axis=(1, 2))  # cache is channels-last
+    feats = cache["outputs"][1].mean(axis=(2, 3)).T  # cache is channel-major
     t = weights.tensors[2]
     np.testing.assert_allclose(logits, feats @ t["w"] + t["b"], rtol=1e-12)
     assert logits.shape == (5, 10)
@@ -158,6 +158,17 @@ def _loss_only(weights, arch, batch):
     return loss
 
 
+def _assert_grads_match_finite_differences(weights, arch, batch):
+    loss, grads = loss_and_grads(weights, arch, batch)
+    assert np.isfinite(loss)
+    numeric = finite_diff_grads(weights, arch, batch, _loss_only, eps=1e-6)
+    for lid in grads:
+        for role, g in grads[lid].items():
+            n = numeric[lid][role]
+            rel = float(np.linalg.norm(g - n)) / max(float(np.linalg.norm(n)), 1e-12)
+            assert rel < 1e-7, (lid, role, rel)
+
+
 @pytest.mark.parametrize("arch_factory", [lambda: builtin_arch("chain3"), _residual_arch])
 def test_gradients_match_finite_differences(arch_factory):
     arch = arch_factory()
@@ -165,16 +176,7 @@ def test_gradients_match_finite_differences(arch_factory):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, *arch.input_shape))
     y = rng.integers(0, arch.num_classes, size=4)
-    batch = Batch(x, y)
-    loss, grads = loss_and_grads(weights, arch, batch)
-    assert np.isfinite(loss)
-    numeric = finite_diff_grads(weights, arch, batch, _loss_only, eps=1e-6)
-    for lid in grads:
-        for role, g in grads[lid].items():
-            n = numeric[lid][role]
-            denom = max(float(np.linalg.norm(n)), 1e-12)
-            rel = float(np.linalg.norm(g - n)) / denom
-            assert rel < 1e-7, (lid, role, rel)
+    _assert_grads_match_finite_differences(weights, arch, Batch(x, y))
 
 
 def test_shortcut_gradients_match_finite_differences():
@@ -187,13 +189,32 @@ def test_shortcut_gradients_match_finite_differences():
     for t in weights.tensors.values():
         t["b"][:] = rng.normal(size=t["b"].shape)
     batch = Batch(rng.normal(size=(4, *arch.input_shape)), rng.integers(0, 3, size=4))
-    _, grads = loss_and_grads(weights, arch, batch)
-    numeric = finite_diff_grads(weights, arch, batch, _loss_only, eps=1e-6)
-    for lid in grads:
-        for role, g in grads[lid].items():
-            n = numeric[lid][role]
-            rel = float(np.linalg.norm(g - n)) / max(float(np.linalg.norm(n)), 1e-12)
-            assert rel < 1e-7, (lid, role, rel)
+    _assert_grads_match_finite_differences(weights, arch, batch)
+
+
+def test_seam_gradients_match_finite_differences():
+    """Two stride-1 3x3 convs, pad 1 then pad 0, on a 7x6 input with batch 3.
+    Both run on the flat padded grid, which holds border and seam columns
+    between batch items; a dz that is not zero there leaks into dW and dX."""
+    doc = {
+        "name": "seam",
+        "input": [2, 7, 6],
+        "layers": [
+            {"id": 0, "kind": "conv", "c_in": 2, "c_out": 3, "k": 3, "stride": 1,
+             "pad": 1, "bias": True, "prunable": True},
+            {"id": 1, "kind": "conv", "c_in": 3, "c_out": 4, "k": 3, "stride": 1,
+             "pad": 0, "bias": True, "prunable": True},
+            {"id": 2, "kind": "fc", "c_in": 4, "c_out": 3, "k": 0, "stride": 1,
+             "pad": 0, "bias": True, "prunable": False},
+        ],
+        "edges": [[0, 1], [1, 2]],
+        "classifier": 2,
+    }
+    arch = load_arch(doc)
+    weights = init_weights(arch, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    batch = Batch(rng.normal(size=(3, *arch.input_shape)), rng.integers(0, 3, size=3))
+    _assert_grads_match_finite_differences(weights, arch, batch)
 
 
 def test_gradients_cover_every_tensor():
