@@ -26,7 +26,12 @@ batch items. So dz sits on a zeroed grid: a seam column holding anything
 else would leak into dW and into the next item's dX. Other strides copy
 the stride-sliced window of each offset to (c_in, B * oh * ow), and dX adds
 each product back onto that window.
-Gradients are hand-derived reverse-mode over the same graph.
+Gradients are hand-derived reverse-mode over the same graph. The affine
+scales whole output channels, so a conv runs with it folded in (the batch-norm
+fold): weight w' = w * scale over c_out, offset b * scale + shift. With dz the
+ReLU-masked gradient, ds its per-channel sum and dw' the folded weight's
+gradient, shift gets ds, b ds * scale, w dw' * scale, and scale the sum of
+dw' * w over (c_in, k, k), plus b * ds with a bias.
 """
 from __future__ import annotations
 
@@ -179,12 +184,14 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
     """(logits, cache) for an NCHW batch.
 
     The cache carries every intermediate the backward pass needs, channel-major:
-    `outputs[lid]` and a conv's `z_pre`/`z_act` are (c, B, h, w), and `x_pad`
-    is the conv's zero-padded (c_in, B, h + 2p, w + 2p) input, whose flat grid
-    a stride-1 conv reads; the classifier's `feats` are (B, c). A stride-1 conv
+    `outputs[lid]` is (c, B, h, w), for a conv after the ReLU, whose `> 0` is the
+    backward's mask; a conv keeps `x_pad`, its zero-padded (c_in, B, h + 2p,
+    w + 2p) input, whose flat grid a stride-1 conv reads, and `w`, the folded
+    weight it ran with; the classifier keeps `feats`, (B, c). A stride-1 conv
     computes its output on that grid, border and batch seams included, and
     compacts it; its backward puts dz on a zeroed grid so those columns add
-    nothing to dW and dX.
+    nothing to dW and dX. The offset and the ReLU write into `_conv`'s fresh
+    output, never into `x_pad`, which can be a view of the caller's batch.
     """
     x = _as_inputs(batch)
     if x.ndim != 4 or x.shape[1:] != arch.input_shape:
@@ -208,15 +215,16 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
         t = weights.tensors[lid]
         if l.kind == "conv":
             xp = _pad(x_in, l.padding)
-            z = _conv(xp, t["w"], l.stride, l.out_h, l.out_w)
-            rows = z.reshape(len(z), -1)
-            if "b" in t:
-                rows += t["b"][:, None]
-            z_pre = z
-            if "scale" in t:
-                z = (rows * t["scale"][:, None] + t["shift"][:, None]).reshape(z.shape)
-            out = np.maximum(z, 0.0)
-            cache["layers"][lid] = {"x_pad": xp, "z_pre": z_pre, "z_act": z}
+            w, offset = t["w"], t.get("b")
+            if "scale" in t:  # the affine folded in, as the module docstring derives
+                w = w * t["scale"][:, None, None]
+                offset = t["shift"] if offset is None else offset * t["scale"] + t["shift"]
+            out = _conv(xp, w, l.stride, l.out_h, l.out_w)
+            rows = out.reshape(len(out), -1)
+            if offset is not None:
+                rows += offset[:, None]
+            np.maximum(rows, 0.0, out=rows)
+            cache["layers"][lid] = {"x_pad": xp, "w": w}
             outputs[lid] = out
         else:
             feats = x_in.mean(axis=(2, 3)).T
@@ -271,17 +279,16 @@ def loss_and_grads(
             h, w_sp = c["spatial"]
             dx = np.broadcast_to((dfeats.T / (h * w_sp))[:, :, None, None], (*dfeats.shape[::-1], h, w_sp))
         else:
-            dz = dout * (c["z_act"] > 0)
-            rows = dz.reshape(len(dz), -1)
+            dz = dout * (cache["outputs"][lid] > 0)
+            ds = dz.reshape(len(dz), -1).sum(axis=1)
+            dw, dx = _conv_grads(c["x_pad"], dz, c["w"], l.stride, l.padding, bool(arch.producers[lid]))
             if "scale" in t:
-                g["scale"] = (rows * c["z_pre"].reshape(rows.shape)).sum(axis=1)
-                g["shift"] = rows.sum(axis=1)
-                rows = rows * t["scale"][:, None]
+                g["scale"] = (dw * t["w"]).sum(axis=(0, 2, 3)) + t.get("b", 0) * ds
+                g["shift"] = ds
+                dw, ds = dw * t["scale"][:, None, None], ds * t["scale"]
             if "b" in t:
-                g["b"] = rows.sum(axis=1)
-            g["w"], dx = _conv_grads(
-                c["x_pad"], rows.reshape(dz.shape), t["w"], l.stride, l.padding, bool(arch.producers[lid])
-            )
+                g["b"] = ds
+            g["w"] = dw
         grads[lid] = g
         prods = arch.producers[lid]
         for p in prods:

@@ -169,6 +169,18 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.
     return out
 
 
+def conv_layer_naive(x: np.ndarray, t: dict, stride: int, padding: int) -> np.ndarray:
+    """One conv layer's ReLU output, NCHW: `conv2d_naive`, then the bias, then
+    the per-channel affine (z * scale + shift), then the ReLU. t maps each of
+    the layer's roles to its tensor."""
+    z = conv2d_naive(x, t["w"], stride, padding)
+    if "b" in t:
+        z = z + t["b"][None, :, None, None]
+    if "scale" in t:
+        z = z * t["scale"][None, :, None, None] + t["shift"][None, :, None, None]
+    return np.maximum(z, 0.0)
+
+
 def finite_diff_grads(weights: NetworkWeights, arch, batch, loss_fn, eps: float):
     """Central-difference gradient of loss_fn(weights) for every tensor entry."""
     grads: dict = {}

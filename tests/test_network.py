@@ -13,16 +13,16 @@ from prunespace import (
     softmax_cross_entropy,
 )
 
-from .oracles import conv2d_naive, finite_diff_grads
+from .oracles import conv_layer_naive, finite_diff_grads
 
 
-def _conv_chain(c_in, c_out, k, stride, pad, h, w, bias=True):
+def _conv_chain(c_in, c_out, k, stride, pad, h, w, bias=True, affine=False):
     doc = {
         "name": "probe",
         "input": [c_in, h, w],
         "layers": [
             {"id": 0, "kind": "conv", "c_in": c_in, "c_out": c_out, "k": k,
-             "stride": stride, "pad": pad, "bias": bias, "prunable": True},
+             "stride": stride, "pad": pad, "bias": bias, "affine": affine, "prunable": True},
             {"id": 1, "kind": "fc", "c_in": c_out, "c_out": 3, "k": 0, "stride": 1,
              "pad": 0, "bias": True, "prunable": False},
         ],
@@ -32,18 +32,35 @@ def _conv_chain(c_in, c_out, k, stride, pad, h, w, bias=True):
     return load_arch(doc)
 
 
+def _draw_vectors(weights, rng):
+    """Bias, scale and shift drawn so that no two roles can stand in for each
+    other: bias and shift nonzero, scale away from 1 and of either sign."""
+    for t in weights.tensors.values():
+        for role, a in t.items():
+            if role == "scale":
+                a[:] = rng.uniform(0.5, 1.5, size=a.shape) * rng.choice([-2.0, 2.0], size=a.shape)
+            elif role != "w":
+                a[:] = rng.normal(0.0, 0.5, size=a.shape)
+
+
+_CONV_GEOMETRIES = [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 1, 0), (3, 2, 1), (3, 2, 0), (5, 1, 2)]
+_CONV_ROLES = {"": (True, False), "-affine": (False, True), "-bias-affine": (True, True)}
+
+
 @pytest.mark.parametrize(
-    "k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 1, 0), (3, 2, 1), (3, 2, 0), (5, 1, 2)]
+    "k,stride,pad,bias,affine",
+    [(*g, *roles) for roles in _CONV_ROLES.values() for g in _CONV_GEOMETRIES],
+    ids=["-".join(map(str, g)) + name for name in _CONV_ROLES for g in _CONV_GEOMETRIES],
 )
-def test_conv_matches_naive(k, stride, pad):
-    arch = _conv_chain(2, 4, k, stride, pad, h=9, w=7)
+def test_conv_matches_naive(k, stride, pad, bias, affine):
+    arch = _conv_chain(2, 4, k, stride, pad, h=9, w=7, bias=bias, affine=affine)
     weights = init_weights(arch, seed=0, dtype=np.float64)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 2, 9, 7))
+    _draw_vectors(weights, rng)
     _, cache = forward(weights, arch, x)
-    t = weights.tensors[0]
-    want = conv2d_naive(x, t["w"], stride, pad) + t["b"][None, :, None, None]
-    got = cache["layers"][0]["z_pre"].transpose(1, 0, 2, 3)  # cache is channel-major
+    want = conv_layer_naive(x, weights.tensors[0], stride, pad)
+    got = cache["outputs"][0].transpose(1, 0, 2, 3)  # cache is channel-major
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -95,9 +112,8 @@ def test_residual_sum_feeds_consumer():
     x = rng.normal(size=(2, 2, 6, 6))
     _, cache = forward(weights, arch, x)
     summed = (cache["outputs"][0] + cache["outputs"][1]).transpose(1, 0, 2, 3)
-    t = weights.tensors[2]
-    want = conv2d_naive(summed, t["w"], 2, 1) + t["b"][None, :, None, None]
-    got = cache["layers"][2]["z_pre"].transpose(1, 0, 2, 3)
+    want = conv_layer_naive(summed, weights.tensors[2], 2, 1)
+    got = cache["outputs"][2].transpose(1, 0, 2, 3)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -217,6 +233,38 @@ def test_seam_gradients_match_finite_differences():
     _assert_grads_match_finite_differences(weights, arch, batch)
 
 
+@pytest.mark.parametrize("bias", [False, True], ids=["affine", "bias-affine"])
+def test_affine_gradients_match_finite_differences(bias):
+    """resnet-tiny's affine convs: a 3x3 stride-1 pair whose summed outputs
+    feed both a 3x3 stride-2 conv and a 1x1 stride-2 pad-0 shortcut, which the
+    classifier sums. Scale away from 1 and shift away from 0 tell the two
+    gradients apart from each other and from the bias's."""
+    def conv(i, c_in, c_out, k, stride, pad, **extra):
+        return {"id": i, "kind": "conv", "c_in": c_in, "c_out": c_out, "k": k, "stride": stride,
+                "pad": pad, "bias": bias, "affine": True, "prunable": True, **extra}
+
+    doc = {
+        "name": "affine",
+        "input": [2, 7, 6],
+        "layers": [
+            conv(0, 2, 3, 3, 1, 1, group=0),
+            conv(1, 3, 3, 3, 1, 1, group=0),
+            conv(2, 3, 4, 3, 2, 1, group=1),
+            conv(3, 3, 4, 1, 2, 0, group=1),
+            {"id": 4, "kind": "fc", "c_in": 4, "c_out": 3, "k": 0, "stride": 1,
+             "pad": 0, "bias": True, "prunable": False},
+        ],
+        "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 4], [3, 4]],
+        "classifier": 4,
+    }
+    arch = load_arch(doc)
+    weights = init_weights(arch, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    _draw_vectors(weights, rng)
+    batch = Batch(rng.normal(size=(3, *arch.input_shape)), rng.integers(0, 3, size=3))
+    _assert_grads_match_finite_differences(weights, arch, batch)
+
+
 def test_gradients_cover_every_tensor():
     arch = _residual_arch()
     weights = init_weights(arch, seed=7, dtype=np.float64)
@@ -238,6 +286,23 @@ def test_evaluate_chunking_and_errors():
     assert evaluate(weights, arch, batch, chunk=7) == evaluate(weights, arch, batch)
     with pytest.raises(ValidationError):
         evaluate(weights, arch, Batch(batch.inputs[:0], batch.labels[:0]))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_kernel_leaves_the_callers_batch_unchanged(size):
+    """The conv epilogue writes in place. For a batch of one, the channel-major
+    input is a view of the caller's array, and a pad-0 first conv keeps it as
+    its padded input; evaluation chunks are views of the dataset."""
+    arch = _conv_chain(2, 4, 3, 1, 0, h=7, w=6, bias=True, affine=True)
+    weights = init_weights(arch, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(4)
+    _draw_vectors(weights, rng)
+    batch = Batch(rng.normal(size=(size, 2, 7, 6)), rng.integers(0, 3, size=size))
+    before = batch.inputs.copy()
+    forward(weights, arch, batch)
+    loss_and_grads(weights, arch, batch)
+    evaluate(weights, arch, batch, chunk=1)
+    assert np.array_equal(batch.inputs, before)
 
 
 def test_forward_validates_shapes():
