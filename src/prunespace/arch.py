@@ -158,6 +158,8 @@ class ArchitectureSpec:
             raise ValidationError("classifier layer must have kind 'fc'")
         if clf.prunable:
             raise ValidationError("classifier output channels are not prunable")
+        if clf.has_affine:  # the forward pass applies no affine to the classifier
+            raise ValidationError("classifier layer cannot have an affine")
         if consumers[self.classifier_id]:
             raise ValidationError("classifier must be the final layer (no consumers)")
         for l in layers:

@@ -35,9 +35,9 @@ dw' * w over (c_in, k, k), plus b * ds with a bias.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,39 +47,59 @@ from .errors import ValidationError
 
 
 class NetworkWeights:
-    """Per-layer tensors keyed by role, as `tensor_layout` lays them out."""
+    """An architecture's weights in one contiguous 1-D buffer, `flat`.
 
-    def __init__(self, tensors: dict[int, dict[str, np.ndarray]]):
-        self.tensors = tensors
+    `layout` is the (layer id, role, shape) tuple `weight_layout` gives; the
+    tensors lie in `flat` in that order, row-major and without gaps, as in a
+    checkpoint body. `tensors` is a read-only {lid: {role: view}} mapping of
+    views into `flat`, so writes land in the buffer and no tensor can be
+    swapped out of it. A pickle holds only `(layout, flat)`.
+    """
+
+    def __init__(self, layout, flat: np.ndarray):
+        sizes = [math.prod(shape) for _, _, shape in layout]
+        if flat.shape != (sum(sizes),):
+            raise ValidationError(f"a buffer shaped {flat.shape} cannot hold the {sum(sizes)} entries of its layout")
+        tensors: dict[int, dict[str, np.ndarray]] = {}
+        offset = 0
+        for (lid, role, shape), size in zip(layout, sizes):
+            tensors.setdefault(lid, {})[role] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        self.layout = tuple(layout)
+        self.flat = flat
+        self.tensors = MappingProxyType({lid: MappingProxyType(t) for lid, t in tensors.items()})
+
+    @classmethod
+    def empty(cls, layout, dtype) -> "NetworkWeights":
+        """Uninitialized weights on `layout`; the caller writes every view."""
+        return cls(layout, np.empty(sum(math.prod(shape) for _, _, shape in layout), dtype=dtype))
+
+    def __reduce__(self):
+        return NetworkWeights, (self.layout, self.flat)
 
     @property
     def dtype(self) -> np.dtype:
-        first = next(iter(self.tensors.values()))
-        return first["w"].dtype
+        return self.flat.dtype
 
     def copy(self) -> "NetworkWeights":
-        return NetworkWeights(
-            {lid: {role: a.copy() for role, a in t.items()} for lid, t in self.tensors.items()}
-        )
+        return NetworkWeights(self.layout, self.flat.copy())
 
     def astype(self, dtype) -> "NetworkWeights":
-        return NetworkWeights(
-            {lid: {role: a.astype(dtype) for role, a in t.items()} for lid, t in self.tensors.items()}
-        )
+        return NetworkWeights(self.layout, self.flat.astype(dtype))
 
     def num_params(self) -> int:
-        return sum(a.size for t in self.tensors.values() for a in t.values())
+        return self.flat.size
 
     def items(self):
-        for lid in sorted(self.tensors):
-            for role in sorted(self.tensors[lid]):
-                yield lid, role, self.tensors[lid][role]
+        """(layer id, role, tensor) in layout order."""
+        for lid, role, _ in self.layout:
+            yield lid, role, self.tensors[lid][role]
 
 
 def tensor_layout(layer: LayerSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """A layer's tensors as (role, shape), roles in `NetworkWeights.items()` order:
-    "b" (c_out,) with a bias, "scale" and "shift" (c_out,) with an affine, then
-    "w", (c_in, c_out, k, k) for a conv and (c_in, c_out) for an fc."""
+    """A layer's tensors as (role, shape), in `weight_layout` order: "b" (c_out,)
+    with a bias, "scale" and "shift" (c_out,) with an affine, then "w",
+    (c_in, c_out, k, k) for a conv and (c_in, c_out) for an fc."""
     vector = (layer.c_out,)
     w = (layer.c_in, layer.c_out, layer.kernel, layer.kernel) if layer.kind == "conv" else (layer.c_in, layer.c_out)
     return (
@@ -89,44 +109,42 @@ def tensor_layout(layer: LayerSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
     )
 
 
+def weight_layout(arch: ArchitectureSpec) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
+    """(layer id, role, shape) of every tensor of `arch`, in `NetworkWeights.flat`
+    order: ascending layer id, then each layer's `tensor_layout`."""
+    return tuple(
+        (l.id, role, shape) for l in sorted(arch.layers, key=lambda l: l.id) for role, shape in tensor_layout(l)
+    )
+
+
 def init_weights(arch: ArchitectureSpec, seed, dtype=np.float32) -> NetworkWeights:
     """Fan-in-scaled Gaussian init: w ~ Normal(0, g / fan_in) with g = 2 for
     layers followed by an activation, g = 1 for the classifier. Biases start
-    at zero, affine at scale 1 / shift 0."""
+    at zero, affine at scale 1 / shift 0. Draws in `arch.layers` order."""
     rng = np.random.default_rng(seed)
-    tensors: dict[int, dict[str, np.ndarray]] = {}
+    weights = NetworkWeights.empty(weight_layout(arch), dtype)
     for l in arch.layers:
-        t: dict[str, np.ndarray] = {}
+        t = weights.tensors[l.id]
         for role, shape in tensor_layout(l):
             if role == "w":
                 fan_in = math.prod(shape[:1] + shape[2:])  # every axis but the filters'
                 gain = 1.0 if l.id == arch.classifier_id else 2.0
-                t[role] = rng.normal(0.0, math.sqrt(gain / fan_in), size=shape).astype(dtype)
+                t[role][...] = rng.normal(0.0, math.sqrt(gain / fan_in), size=shape)
             else:
-                t[role] = (np.ones if role == "scale" else np.zeros)(shape, dtype=dtype)
-        tensors[l.id] = t
-    return NetworkWeights(tensors)
+                t[role].fill(1.0 if role == "scale" else 0.0)
+    return weights
 
 
 def check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:
-    """Refuse weights that are not exactly the tensors of `arch`: a missing,
-    misshapen or extra layer or role."""
-    extra = weights.tensors.keys() - arch.layer_map.keys()
-    if extra:
-        raise ValidationError(f"weights hold layer {min(extra)}, which the architecture lacks")
-    for l in arch.layers:
-        t = weights.tensors.get(l.id)
-        if t is None:
-            raise ValidationError(f"weights missing layer {l.id}")
-        layout = dict(tensor_layout(l))
-        extra = t.keys() - layout.keys()
-        if extra:
-            raise ValidationError(f"layer {l.id}: weights hold role {min(extra)!r}, which the layer lacks")
-        for role, shape in layout.items():
-            if role not in t:
-                raise ValidationError(f"layer {l.id}: weights missing role {role!r}")
-            if t[role].shape != shape:
-                raise ValidationError(f"layer {l.id}: {role} shape {t[role].shape} != {shape}")
+    """Refuse weights not laid out for `arch`, naming the first entry that differs."""
+    want = weight_layout(arch)
+    if weights.layout != want:
+        i, have, need = next(
+            (i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(weights.layout, want)) if a != b
+        )
+        raise ValidationError(
+            f"weight entry {i}: the weights hold {have or 'nothing'}, the architecture lays out {need or 'nothing'}"
+        )
 
 
 def _as_inputs(batch) -> np.ndarray:
@@ -255,41 +273,37 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 def loss_and_grads(
     weights: NetworkWeights, arch: ArchitectureSpec, batch: Batch
-) -> tuple[float, dict[int, dict[str, np.ndarray]]]:
-    """Mean softmax cross-entropy and gradients for every weight tensor."""
+) -> tuple[float, NetworkWeights]:
+    """Mean softmax cross-entropy and its gradient, laid out as `weights`."""
     logits, cache = forward(weights, arch, batch)
     loss, dlogits = softmax_cross_entropy(logits, batch.labels)
 
-    grads: dict[int, dict[str, np.ndarray]] = {}
+    grads = NetworkWeights.empty(weights.layout, weights.dtype)
     douts: dict[int, np.ndarray] = {arch.classifier_id: dlogits}
     for lid in reversed(arch.topo_order):
         l = arch.layer(lid)
-        t = weights.tensors[lid]
-        c = cache["layers"][lid]
-        dout = douts.pop(lid, None)
-        if dout is None:
-            continue
-        g: dict[str, np.ndarray] = {}
+        t, g = weights.tensors[lid], grads.tensors[lid]
+        c = cache["layers"].pop(lid)  # freed as the backward passes, to lower the step's peak
+        dout = douts.pop(lid)
         if l.kind == "fc":
             feats = c["feats"]
-            g["w"] = feats.T @ dout
+            g["w"][...] = feats.T @ dout
             if "b" in t:
-                g["b"] = dout.sum(axis=0)
+                g["b"][...] = dout.sum(axis=0)
             dfeats = dout @ t["w"].T
             h, w_sp = c["spatial"]
             dx = np.broadcast_to((dfeats.T / (h * w_sp))[:, :, None, None], (*dfeats.shape[::-1], h, w_sp))
         else:
-            dz = dout * (cache["outputs"][lid] > 0)
+            dz = dout * (cache["outputs"].pop(lid) > 0)
             ds = dz.reshape(len(dz), -1).sum(axis=1)
             dw, dx = _conv_grads(c["x_pad"], dz, c["w"], l.stride, l.padding, bool(arch.producers[lid]))
             if "scale" in t:
-                g["scale"] = (dw * t["w"]).sum(axis=(0, 2, 3)) + t.get("b", 0) * ds
-                g["shift"] = ds
+                g["scale"][...] = (dw * t["w"]).sum(axis=(0, 2, 3)) + t.get("b", 0) * ds
+                g["shift"][...] = ds
                 dw, ds = dw * t["scale"][:, None, None], ds * t["scale"]
             if "b" in t:
-                g["b"] = ds
-            g["w"] = dw
-        grads[lid] = g
+                g["b"][...] = ds
+            g["w"][...] = dw
         prods = arch.producers[lid]
         for p in prods:
             if p in douts:

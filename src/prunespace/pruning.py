@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import ArchitectureSpec, PrunableUnit, SubnetworkPlan, prunable_units, resolve_plan
 from .errors import ValidationError
-from .network import NetworkWeights, check_weights, tensor_layout
+from .network import NetworkWeights, check_weights, weight_layout
 from .sampling import PruningRecipe
 from .seeds import derive_seed
 
@@ -96,16 +96,17 @@ def one_shot_prune(
         for lid in unit.layer_ids:
             kept_indices[lid] = chosen
 
-    new_layers, tensors = [], {}
+    new_layers, keeps = [], {}
     for l in arch.layers:
         prods = arch.producers[l.id]
         in_keep = np.asarray(kept_indices[prods[0]] if prods else range(l.c_in), dtype=np.intp)
         out_keep = np.asarray(kept_indices[l.id], dtype=np.intp)
+        keeps[l.id] = in_keep, out_keep
         new_layers.append(replace(l, c_in=len(in_keep), c_out=len(out_keep), out_h=0, out_w=0))
-        t = weights.tensors[l.id]
-        tensors[l.id] = {
-            role: np.ascontiguousarray(t[role][in_keep][:, out_keep] if role == "w" else t[role][out_keep])
-            for role, _ in tensor_layout(l)
-        }
     new_arch = ArchitectureSpec(arch.name, arch.input_shape, new_layers, arch.edges, arch.classifier_id)
-    return PrunedNetwork(NetworkWeights(tensors), new_arch, plan, kept_indices)
+    pruned = NetworkWeights.empty(weight_layout(new_arch), weights.dtype)
+    for lid, role, a in pruned.items():
+        in_keep, out_keep = keeps[lid]
+        t = weights.tensors[lid][role]
+        a[...] = t[in_keep][:, out_keep] if role == "w" else t[out_keep]
+    return PrunedNetwork(pruned, new_arch, plan, kept_indices)

@@ -29,7 +29,7 @@ import numpy as np
 from .analysis import DistributionSummary, EDFCurve, RegimeRow, SpaceComparison, TrialRecord
 from .arch import ArchitectureSpec, arch_to_json, load_arch
 from .errors import LogError, SchemaError, ValidationError
-from .network import NetworkWeights, check_weights, tensor_layout
+from .network import NetworkWeights, check_weights, weight_layout
 from .schema import spec_from_json, spec_to_json
 
 
@@ -235,26 +235,17 @@ class CheckpointHeader:
             raise ValidationError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
 
 
-def _body_layout(arch: ArchitectureSpec):
-    """(layer id, role, shape) of each tensor of a checkpoint body, in body order."""
-    for l in sorted(arch.layers, key=lambda l: l.id):
-        for role, shape in tensor_layout(l):
-            yield l.id, role, shape
-
-
 def save_checkpoint(
     path: str | Path, weights: NetworkWeights, arch: ArchitectureSpec, meta: Mapping | None = None
 ) -> None:
     """Versioned binary container of `weights` and the `arch` they belong to;
-    identical weights and arch give identical bytes. Weights that are not
-    exactly the tensors of `arch` are refused before anything is written."""
+    the body is `weights.flat`, so identical weights and arch give identical
+    bytes. Weights laid out for another architecture are refused before
+    anything is written."""
     check_weights(weights, arch)
     header = CheckpointHeader(CHECKPOINT_VERSION, arch_to_json(arch), np.dtype(weights.dtype).name, dict(meta or {}))
-    blobs = [
-        np.ascontiguousarray(weights.tensors[lid][role], dtype=_DTYPES[header.dtype]).tobytes()
-        for lid, role, _ in _body_layout(arch)
-    ]
-    write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(spec_to_json(header)).encode(), b"\n", *blobs]))
+    body = np.ascontiguousarray(weights.flat, dtype=_DTYPES[header.dtype]).tobytes()
+    write_atomic(path, b"".join([_CKPT_MAGIC, canonical_json(spec_to_json(header)).encode(), b"\n", body]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, ArchitectureSpec, dict]:
@@ -278,19 +269,14 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkWeights, ArchitectureSpec,
         header = spec_from_json(CheckpointHeader, doc)
         arch = load_arch(header.arch)
         dtype = np.dtype(_DTYPES[header.dtype])
-        layout = list(_body_layout(arch))
+        layout = weight_layout(arch)
         nbytes = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize
         if len(body) != nbytes:
             raise ValidationError(f"checkpoint body holds {len(body)} bytes, its architecture lays out {nbytes}")
-        tensors: dict[int, dict[str, np.ndarray]] = {}
-        offset = 0
-        for lid, role, shape in layout:
-            a = np.frombuffer(body, dtype, count=math.prod(shape), offset=offset).reshape(shape).copy()
-            tensors.setdefault(lid, {})[role] = a
-            offset += a.nbytes
+        weights = NetworkWeights(layout, np.frombuffer(body, dtype).copy())
     except (json.JSONDecodeError, ValidationError) as e:
         raise SchemaError(f"{path}: {e}") from e
-    return NetworkWeights(tensors), arch, header.meta
+    return weights, arch, header.meta
 
 
 # -- report CSVs ----------------------------------------------------------------

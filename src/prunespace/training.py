@@ -97,6 +97,8 @@ def train(
 ) -> TrainResult:
     """SGD over the training split; validation accuracy appended per epoch.
 
+    The momentum is one buffer on the weights' layout, as the gradients are,
+    so a step updates every tensor at once.
     Deterministic in (weights, data, schedule, seed). A scratch schedule
     re-initializes from a seed-derived key and ignores the incoming values.
     Raises TrainingDiverged (with the partial trace) on a non-finite loss.
@@ -107,10 +109,7 @@ def train(
     else:
         weights = weights.copy()
     rng = np.random.default_rng(derive_seed(seed, 0))
-    velocity = {
-        lid: {role: np.zeros_like(a) for role, a in t.items()}
-        for lid, t in weights.tensors.items()
-    }
+    w, v = weights.flat, np.zeros_like(weights.flat)
     mu = schedule.momentum
     wd = schedule.weight_decay
     n = len(train_batch)
@@ -129,13 +128,8 @@ def train(
                         f"non-finite loss at epoch {epoch}, step {start // schedule.batch_size}",
                         trace=tuple(trace),
                     )
-                for lid, g in grads.items():
-                    tensors = weights.tensors[lid]
-                    vel = velocity[lid]
-                    for role, grad in g.items():
-                        v = vel[role]
-                        v *= mu
-                        v += grad + wd * tensors[role]
-                        tensors[role] -= lr * v
+                v *= mu
+                v += grads.flat + wd * w
+                w -= lr * v
             trace.append(evaluate(weights, arch, val_batch))
     return TrainResult(weights, tuple(trace), loss)

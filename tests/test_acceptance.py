@@ -256,8 +256,8 @@ def test_criterion_08_gradients_match_finite_differences():
 
     def worst_rel(analytic, numeric):
         worst = 0.0
-        for lid in analytic:
-            for role, g in analytic[lid].items():
+        for lid in analytic.tensors:
+            for role, g in analytic.tensors[lid].items():
                 ref = numeric[lid][role]
                 err = float(np.linalg.norm(np.asarray(g, dtype=np.float64) - ref))
                 worst = max(worst, err / max(float(np.linalg.norm(ref)), 1e-12))

@@ -222,3 +222,7 @@ def test_classifier_constraints():
     doc["classifier"] = 0  # conv classifier
     with pytest.raises(ValidationError):
         load_arch(doc)
+    doc = arch_to_json(builtin_arch("chain3"))
+    doc["layers"][-1]["affine"] = True
+    with pytest.raises(ValidationError, match="classifier layer cannot have an affine"):
+        load_arch(doc)

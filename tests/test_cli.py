@@ -8,6 +8,7 @@ import pytest
 from prunespace import (
     CostReport,
     DatasetSpec,
+    NetworkWeights,
     PipelineConfig,
     SpaceSpec,
     TrialLog,
@@ -19,12 +20,14 @@ from prunespace import (
     load_arch,
     load_checkpoint,
     network_cost,
+    one_shot_prune,
     pipeline_config_from_json,
     save_checkpoint,
     scratch_schedule,
 )
 from prunespace import cost
 from prunespace.cli import main
+from prunespace.network import weight_layout
 
 
 def _run(capsys, *argv):
@@ -442,33 +445,53 @@ def test_malformed_checkpoint_header_exits_3(edit_header, edit_body, text, tmp_p
     _exits_3_naming(capsys, caplog, argv, text)
 
 
-def _drop_w(weights):
-    del weights.tensors[1]["w"]
+def _chain3():
+    return builtin_arch("chain3")
 
 
-def _short_bias(weights):
-    weights.tensors[0]["b"] = weights.tensors[0]["b"][:2]
+def _relaid(edit):
+    """chain3 weights on a layout `edit` changes; only a hand-built layout can be off its architecture."""
+    def build():
+        layout = list(weight_layout(_chain3()))
+        edit(layout)
+        return NetworkWeights.empty(layout, np.float32)
+    return build
 
 
-def _extra_layer(weights):
-    weights.tensors[3] = weights.tensors[2]
+def _drop_w(layout):
+    layout.remove((1, "w", (4, 6, 3, 3)))
 
 
-def _extra_role(weights):
-    weights.tensors[2]["scale"] = weights.tensors[2]["b"]
+def _short_bias(layout):
+    layout[0] = (0, "b", (2,))
+
+
+def _extra_layer(layout):
+    layout.append((3, "w", (6, 10)))
+
+
+def _extra_role(layout):
+    layout.insert(5, (2, "scale", (10,)))
+
+
+def _pruned_chain3():
+    arch = _chain3()
+    return one_shot_prune(init_weights(arch, seed=0), arch, [0.5, 0.5]).arch
 
 
 # Weights off their architecture are refused when saved, so no checkpoint that
 # `prune` reads can hold them: nothing is written, not even the temp file.
-@pytest.mark.parametrize("edit, text", [
-    (_drop_w, "layer 1: weights missing role 'w'"),
-    (_short_bias, "layer 0: b shape (2,) != (4,)"),
-    (_extra_layer, "weights hold layer 3, which the architecture lacks"),
-    (_extra_role, "layer 2: weights hold role 'scale', which the layer lacks"),
-], ids=["no w", "short bias", "extra layer", "extra role"])
-def test_prune_checkpoint_missing_a_role_exits_3(edit, text, tmp_path):
-    weights = init_weights(builtin_arch("chain3"), seed=0)
-    edit(weights)
+@pytest.mark.parametrize("weights, arch, text", [
+    (_relaid(_drop_w), _chain3, "weight entry 3: the weights hold (2, 'b', (10,)), the architecture lays out (1, 'w', (4, 6, 3, 3))"),
+    (_relaid(_short_bias), _chain3, "weight entry 0: the weights hold (0, 'b', (2,)), the architecture lays out (0, 'b', (4,))"),
+    (_relaid(_extra_layer), _chain3, "weight entry 6: the weights hold (3, 'w', (6, 10)), the architecture lays out nothing"),
+    (_relaid(_extra_role), _chain3, "weight entry 5: the weights hold (2, 'scale', (10,)), the architecture lays out (2, 'w', (6, 10))"),
+    (lambda: init_weights(_chain3(), seed=0), _pruned_chain3,
+     "weight entry 0: the weights hold (0, 'b', (4,)), the architecture lays out (0, 'b', (2,))"),
+    (lambda: init_weights(builtin_arch("resnet-tiny"), seed=0), _chain3,
+     "weight entry 0: the weights hold (0, 'scale', (8,)), the architecture lays out (0, 'b', (4,))"),
+], ids=["no w", "short bias", "extra layer", "extra role", "dense on pruned", "resnet-tiny on chain3"])
+def test_prune_checkpoint_missing_a_role_exits_3(weights, arch, text, tmp_path):
     with pytest.raises(ValidationError, match=re.escape(text)):
-        save_checkpoint(tmp_path / "w.ckpt", weights, builtin_arch("chain3"))
+        save_checkpoint(tmp_path / "w.ckpt", weights(), arch())
     assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from prunespace import (
     init_weights,
     load_arch,
     loss_and_grads,
+    one_shot_prune,
     softmax_cross_entropy,
 )
 
@@ -178,8 +181,8 @@ def _assert_grads_match_finite_differences(weights, arch, batch):
     loss, grads = loss_and_grads(weights, arch, batch)
     assert np.isfinite(loss)
     numeric = finite_diff_grads(weights, arch, batch, _loss_only, eps=1e-6)
-    for lid in grads:
-        for role, g in grads[lid].items():
+    for lid in grads.tensors:
+        for role, g in grads.tensors[lid].items():
             n = numeric[lid][role]
             rel = float(np.linalg.norm(g - n)) / max(float(np.linalg.norm(n)), 1e-12)
             assert rel < 1e-7, (lid, role, rel)
@@ -272,7 +275,7 @@ def test_gradients_cover_every_tensor():
     batch = Batch(rng.normal(size=(3, 2, 6, 6)), rng.integers(0, 3, size=3))
     _, grads = loss_and_grads(weights, arch, batch)
     for lid, t in weights.tensors.items():
-        assert set(grads[lid]) == set(t), lid
+        assert set(grads.tensors[lid]) == set(t), lid
 
 
 def test_evaluate_chunking_and_errors():
@@ -310,7 +313,25 @@ def test_forward_validates_shapes():
     weights = init_weights(arch, seed=0)
     with pytest.raises(ValidationError):
         forward(weights, arch, np.zeros((1, 3, 9, 8), dtype=np.float32))
-    broken = weights.copy()
-    del broken.tensors[1]
+    pruned = one_shot_prune(weights, arch, [0.5, 0.5]).arch
     with pytest.raises(ValidationError):
-        forward(broken, arch, np.zeros((1, 3, 8, 8), dtype=np.float32))
+        forward(weights, pruned, np.zeros((1, 3, 8, 8), dtype=np.float32))
+
+
+def test_tensors_are_read_only_views_of_the_buffer():
+    weights = init_weights(builtin_arch("resnet-tiny"), seed=0)
+    with pytest.raises(TypeError):
+        weights.tensors[0] = {}
+    with pytest.raises(TypeError):
+        weights.tensors[0]["w"] = np.zeros_like(weights.tensors[0]["w"])
+    weights.tensors[0]["w"][0, 0, 0, 0] = 7.0
+    assert np.count_nonzero(weights.flat == 7.0) == 1
+    assert all(np.shares_memory(a, weights.flat) for _, _, a in weights.items())
+
+
+def test_weights_pickle_as_layout_and_buffer():
+    weights = init_weights(builtin_arch("resnet-tiny"), seed=0)
+    back = pickle.loads(pickle.dumps(weights))
+    assert back.layout == weights.layout and back.dtype == weights.dtype
+    assert back.flat.tobytes() == weights.flat.tobytes()
+    assert all(np.shares_memory(a, back.flat) for _, _, a in back.items())

@@ -375,6 +375,16 @@ def test_checkpoint_round_trip(network, meta):
         assert second.read_bytes() == first.read_bytes()
 
 
+def test_checkpoint_body_is_the_flat_buffer(tmp_path):
+    arch = builtin_arch("resnet-tiny")
+    weights = init_weights(arch, seed=4)
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(path, weights, arch)
+    data = path.read_bytes()
+    body = data[data.index(b"\n", len(b"PSCKPT1\n")) + 1 :]
+    assert weights.dtype == np.float32 and body == weights.flat.tobytes()
+
+
 def test_checkpoint_float64_and_default_meta(tmp_path):
     arch = builtin_arch("chain3")
     weights = init_weights(arch, seed=1, dtype=np.float64)
