@@ -73,7 +73,7 @@ def main():
         ratios = tuple(round(r, 2) for r in t.recipe)
         print(f"  drop {t.accuracy_drop:>5.2f}  c_flops {t.cost.c_flops:.3f}  "
               f"mcb {t.cost.mcb:.3f}  ratios {ratios}")
-    row = winner_mcb_by_regime(builtin_arch("resnet-tiny"), {0.25: population}, 3)[0]
+    row = winner_mcb_by_regime(builtin_arch("resnet-tiny"), {loose.space: population}, 3)[0]
     print(f"winner mcb median {row.winner_mcb_median:.3f} "
           f"(uniform recipe reference {row.uniform_mcb:.3f})\n")
 

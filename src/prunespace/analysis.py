@@ -20,7 +20,7 @@ import numpy as np
 from .arch import ArchitectureSpec, prunable_units, resolve_plan
 from .cost import CostReport, network_cost
 from .errors import ValidationError
-from .sampling import uniform_base_ratio
+from .sampling import SpaceSpec, uniform_base_ratio
 from .schema import spec_to_json
 
 
@@ -172,19 +172,23 @@ class RegimeRow:
 
 def winner_mcb_by_regime(
     arch: ArchitectureSpec,
-    trials_by_target: Mapping[float, Sequence[TrialRecord]],
+    trials_by_space: Mapping[SpaceSpec, Sequence[TrialRecord]],
     k: int,
 ) -> list[RegimeRow]:
-    """Winner compute-to-parameter budgets per FLOPs regime, with the uniform
-    recipe's mcb at each target as the reference point."""
+    """Winner compute-to-parameter budgets per FLOPs regime, one per space, by
+    descending target. The reference point is the mcb of the uniform recipe
+    that meets the space's FLOPs target within its `delta` and `ratio_max`;
+    a space that recipe cannot meet raises FeasibilityError."""
+    if any(space.target_cflops is None for space in trials_by_space):
+        raise ValidationError("a FLOPs regime needs a space with a target_cflops")
     rows = []
-    for target in sorted(trials_by_target, reverse=True):
-        trials = trials_by_target[target]
-        winners = top_k_winners(trials, k)
+    for space in sorted(trials_by_space, key=lambda s: s.target_cflops, reverse=True):
+        target = space.target_cflops
+        winners = top_k_winners(trials_by_space[space], k)
         mcbs = np.asarray([t.cost.mcb for t in winners], dtype=np.float64)
         q1, med, q3 = np.quantile(mcbs, [0.25, 0.5, 0.75])
-        base = uniform_base_ratio(arch, target)
-        plan = resolve_plan(arch, [base.ratio] * len(prunable_units(arch)))
+        base = uniform_base_ratio(arch, target, space.delta, "flops", space.ratio_max)
+        plan = resolve_plan(arch, [base.ratio] * len(prunable_units(arch)), space.ratio_max)
         uniform = network_cost(arch, plan).mcb
         rows.append(
             RegimeRow(

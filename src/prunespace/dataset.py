@@ -48,10 +48,32 @@ class DatasetSpec:
     shape: tuple[int, int, int] = (3, 16, 16)
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValidationError("need at least 2 classes")
+        if self.per_class < 5:
+            raise ValidationError("need at least 5 samples per class for an 80/20 split")
+        if len(self.shape) != 3 or any(v < 1 for v in self.shape):
+            raise ValidationError(f"bad sample shape {tuple(self.shape)}")
+        if self.noise_sigma < 0:
+            raise ValidationError("noise_sigma must be non-negative")
+
     def build(self, dtype=np.float32) -> tuple[Batch, Batch]:
-        return synth_dataset(
-            self.seed, self.num_classes, self.per_class, self.shape, self.noise_sigma, dtype
-        )
+        """(train, validation) batches, split 80/20 within every class."""
+        templates = class_templates(self.seed, self.num_classes, self.shape)
+        rng = np.random.default_rng(derive_seed(self.seed, 1))
+        n_train = round(0.8 * self.per_class)
+        train_x, train_y, val_x, val_y = [], [], [], []
+        for cls in range(self.num_classes):
+            noise = rng.normal(0.0, 1.0, size=(self.per_class, *self.shape)) * self.noise_sigma
+            samples = templates[cls][None] + noise
+            train_x.append(samples[:n_train])
+            val_x.append(samples[n_train:])
+            train_y.append(np.full(n_train, cls, dtype=np.int64))
+            val_y.append(np.full(self.per_class - n_train, cls, dtype=np.int64))
+        train = Batch(np.concatenate(train_x).astype(dtype), np.concatenate(train_y))
+        val = Batch(np.concatenate(val_x).astype(dtype), np.concatenate(val_y))
+        return train, val
 
     to_json = spec_to_json
 
@@ -70,37 +92,3 @@ def class_templates(
     coarse = rng.normal(0.0, 1.0, size=(num_classes, c, hb, wb))
     full = np.kron(coarse, np.ones((1, 1, _BLOCK, _BLOCK)))
     return full[:, :, :h, :w]
-
-
-def synth_dataset(
-    seed: int | Sequence[int],
-    num_classes: int = 10,
-    per_class: int = 100,
-    shape: Sequence[int] = (3, 16, 16),
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-    dtype=np.float32,
-) -> tuple[Batch, Batch]:
-    """(train, validation) batches, split 80/20 within every class."""
-    if num_classes < 2:
-        raise ValidationError("need at least 2 classes")
-    if per_class < 5:
-        raise ValidationError("need at least 5 samples per class for an 80/20 split")
-    if len(shape) != 3 or any(int(v) < 1 for v in shape):
-        raise ValidationError(f"bad sample shape {tuple(shape)}")
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be non-negative")
-    shape = tuple(int(v) for v in shape)
-    templates = class_templates(seed, num_classes, shape)
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    n_train = round(0.8 * per_class)
-    train_x, train_y, val_x, val_y = [], [], [], []
-    for cls in range(num_classes):
-        noise = rng.normal(0.0, 1.0, size=(per_class, *shape)) * noise_sigma
-        samples = templates[cls][None] + noise
-        train_x.append(samples[:n_train])
-        val_x.append(samples[n_train:])
-        train_y.append(np.full(n_train, cls, dtype=np.int64))
-        val_y.append(np.full(per_class - n_train, cls, dtype=np.int64))
-    train = Batch(np.concatenate(train_x).astype(dtype), np.concatenate(train_y))
-    val = Batch(np.concatenate(val_x).astype(dtype), np.concatenate(val_y))
-    return train, val

@@ -45,6 +45,10 @@ from .arch import ArchitectureSpec, LayerSpec
 from .dataset import Batch
 from .errors import ValidationError
 
+# Rows per forward in `evaluate`: of 32-64 rows, 40 ran a 200-row split about as fast as
+# any, in half the time of one 200-row forward, and keeps a 40-row split in one forward.
+EVAL_ROWS = 40
+
 
 class NetworkWeights:
     """An architecture's weights in one contiguous 1-D buffer, `flat`.
@@ -147,10 +151,6 @@ def check_weights(weights: NetworkWeights, arch: ArchitectureSpec) -> None:
         )
 
 
-def _as_inputs(batch) -> np.ndarray:
-    return batch.inputs if isinstance(batch, Batch) else np.asarray(batch)
-
-
 def _pad(x: np.ndarray, pad: int) -> np.ndarray:
     """(c, B, h + 2 * pad, w + 2 * pad) zero-padded copy of x, or x itself when pad is 0.
 
@@ -198,8 +198,8 @@ def _conv(xp: np.ndarray, w: np.ndarray, stride: int, oh: int, ow: int) -> np.nd
     return np.ascontiguousarray(z[:, :, :oh, :ow])
 
 
-def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.ndarray, dict]:
-    """(logits, cache) for an NCHW batch.
+def forward(weights: NetworkWeights, arch: ArchitectureSpec, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(logits, cache) for an NCHW inputs array.
 
     The cache carries every intermediate the backward pass needs, channel-major:
     `outputs[lid]` is (c, B, h, w), for a conv after the ReLU, whose `> 0` is the
@@ -211,7 +211,6 @@ def forward(weights: NetworkWeights, arch: ArchitectureSpec, batch) -> tuple[np.
     nothing to dW and dX. The offset and the ReLU write into `_conv`'s fresh
     output, never into `x_pad`, which can be a view of the caller's batch.
     """
-    x = _as_inputs(batch)
     if x.ndim != 4 or x.shape[1:] != arch.input_shape:
         raise ValidationError(f"inputs shaped {x.shape[1:]} do not match {arch.input_shape}")
     check_weights(weights, arch)
@@ -275,7 +274,7 @@ def loss_and_grads(
     weights: NetworkWeights, arch: ArchitectureSpec, batch: Batch
 ) -> tuple[float, NetworkWeights]:
     """Mean softmax cross-entropy and its gradient, laid out as `weights`."""
-    logits, cache = forward(weights, arch, batch)
+    logits, cache = forward(weights, arch, batch.inputs)
     loss, dlogits = softmax_cross_entropy(logits, batch.labels)
 
     grads = NetworkWeights.empty(weights.layout, weights.dtype)
@@ -336,16 +335,14 @@ def _conv_grads(
     return dw, dxp[:, :, padding : xp.shape[2] - padding, padding : xp.shape[3] - padding]
 
 
-def evaluate(
-    weights: NetworkWeights, arch: ArchitectureSpec, batch: Batch, chunk: int = 512
-) -> float:
-    """Top-1 accuracy; argmax breaks ties toward the lower class index."""
+def evaluate(weights: NetworkWeights, arch: ArchitectureSpec, batch: Batch) -> float:
+    """Top-1 accuracy over slices of `EVAL_ROWS` rows; argmax breaks ties toward the lower class index."""
     n = len(batch)
     if n == 0:
         raise ValidationError("cannot evaluate an empty batch")
     correct = 0
-    for start in range(0, n, chunk):
-        part = Batch(batch.inputs[start : start + chunk], batch.labels[start : start + chunk])
-        logits, _ = forward(weights, arch, part)
-        correct += int((logits.argmax(axis=1) == part.labels).sum())
+    for s in range(0, n, EVAL_ROWS):
+        # only the logits are kept, so a slice's cache is freed before the next forward
+        logits = forward(weights, arch, batch.inputs[s : s + EVAL_ROWS])[0]
+        correct += int((logits.argmax(axis=1) == batch.labels[s : s + EVAL_ROWS]).sum())
     return correct / n

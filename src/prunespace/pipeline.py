@@ -59,7 +59,7 @@ from .arch import ArchitectureSpec, arch_to_json, builtin_arch, builtin_names, l
 from .cost import network_cost
 from .dataset import Batch, DatasetSpec
 from .errors import TrainingDiverged, ValidationError, WorkerLost
-from .network import NetworkWeights, evaluate, init_weights
+from .network import NetworkWeights, evaluate, weight_layout
 from .pruning import METHODS, one_shot_prune
 from .runlog import (
     TrialLog,
@@ -81,8 +81,7 @@ log = logging.getLogger("prunespace")
 
 WORKERS_ENV = "PRUNESPACE_WORKERS"
 
-# master-seed tags, one namespace per phase
-_TAG_DENSE_INIT = 1
+# master-seed tags, one namespace per phase; 1 is retired, so each tag keeps its stream
 _TAG_DENSE_TRAIN = 2
 _TAG_SAMPLE = 3
 _TAG_SCREEN = 4
@@ -197,7 +196,8 @@ def train_dense_baseline(
     arch = resolve_arch(config.arch)
     if data is None:
         data = config.dataset.build()
-    shell = init_weights(arch, derive_seed(config.seed, _TAG_DENSE_INIT))
+    # a scratch schedule initializes the weights itself and reads only the shell's dtype
+    shell = NetworkWeights.empty(weight_layout(arch), np.float32)
     result = train(shell, arch, data, config.dense_schedule, derive_seed(config.seed, _TAG_DENSE_TRAIN))
     # the last trace entry is the validation accuracy of the returned weights
     return DenseBaseline(arch, data, result.weights, result.trace[-1])
@@ -396,16 +396,15 @@ def screen_candidates(run: RunDir) -> list[TrialRecord]:
 
     Resumes past the records already in the run's trial log, so an interrupted
     run picks up at the first missing index and converges to the same final
-    set; the population is sampled, and the dense baseline derived, only when
-    some index is still missing. Each candidate is logged, and its seconds
-    observed, as it finishes.
+    set; the population is sampled, and then the dense baseline derived, only
+    when some index is still missing, so an infeasible space trains nothing.
+    Each candidate is logged, and its seconds observed, as it finishes.
     """
     config, logged = run.config, len(run.trials.records)
     if logged < config.n:
-        baseline = run.baseline
-        recipes = sample_population(baseline.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
+        recipes = sample_population(run.arch, config.space, config.n, derive_seed(config.seed, _TAG_SAMPLE))
         tasks = [(i, recipes[i].ratios) for i in range(logged, config.n)]
-        for record, _, seconds in _map_candidates(config, baseline, False, tasks):
+        for record, _, seconds in _map_candidates(config, run.baseline, False, tasks):
             run.trials.append(record)
             run.observe("screen", record.index, seconds)
     return list(run.trials.records)
@@ -470,7 +469,10 @@ def write_reports(out_dir: str | Path, trials: Sequence[TrialRecord], top_k: int
 class RunDir:
     """One run's directory: its claim, trial log, dense baseline and timings.
 
-    Opening writes `config.json`, or refuses a directory whose `config.json`
+    Opening first resolves the config's arch, held as `arch`, and refuses,
+    with nothing written, a config that arch cannot run: a dataset shape
+    other than its input shape, or more classes than its classifier outputs.
+    It then writes `config.json`, or refuses a directory whose `config.json`
     names another config, before touching anything else; it then opens the
     trial log and refuses one that is not indices 0, 1, ... of at most `n`
     records. `baseline` is derived on first use, from `dense.ckpt` when the
@@ -482,6 +484,14 @@ class RunDir:
 
     def __init__(self, path: str | Path, config: PipelineConfig):
         self.path, self.config = Path(path), config
+        self.arch = arch = resolve_arch(config.arch)
+        dataset, outputs = config.dataset, arch.layer(arch.classifier_id).c_out
+        if tuple(dataset.shape) != arch.input_shape:
+            raise ValidationError(
+                f"dataset shape {list(dataset.shape)} is not the input shape {list(arch.input_shape)} of {config.arch!r}"
+            )
+        if dataset.num_classes > outputs:
+            raise ValidationError(f"{dataset.num_classes} dataset classes exceed the {outputs} outputs of {config.arch!r}")
         config_doc = config.to_json()
         rendered = canonical_json(config_doc) + "\n"
         claim = self.path / "config.json"
@@ -508,10 +518,9 @@ class RunDir:
     @functools.cached_property
     def baseline(self) -> DenseBaseline:
         """The dense baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
-        config, path, key = self.config, self.path / "dense.ckpt", dense_key(self.config)
+        config, arch, path, key = self.config, self.arch, self.path / "dense.ckpt", dense_key(self.config)
         data = config.dataset.build()
         if path.exists():
-            arch = resolve_arch(config.arch)
             weights, saved_arch, meta = load_checkpoint(path)
             if meta.get("dense_key") != key:
                 raise ValidationError(

@@ -218,8 +218,8 @@ def test_criterion_07_pruned_forward_equals_masked_dense():
         recipe = tuple(float(r) for r in rng.uniform(0.0, 0.9, size=n_units))
         batch = Batch(rng.normal(size=(4, *arch.input_shape)), rng.integers(0, 10, size=4))
         pruned = one_shot_prune(weights, arch, recipe)
-        logits, _ = forward(pruned.weights, pruned.arch, batch)
-        reference = masked_dense_logits(weights, arch, pruned, batch)
+        logits, _ = forward(pruned.weights, pruned.arch, batch.inputs)
+        reference = masked_dense_logits(weights, arch, pruned, batch.inputs)
         rel = np.abs(logits - reference) / np.maximum(np.abs(reference), 1e-12)
         worst = max(worst, float(rel.max()))
     _report(
@@ -251,7 +251,7 @@ def test_criterion_08_gradients_match_finite_differences():
     assert init_weights(arch, 0).num_params() <= 500
 
     def loss_fn(w, a, b):
-        logits, _ = forward(w, a, b)
+        logits, _ = forward(w, a, b.inputs)
         return softmax_cross_entropy(logits, b.labels)[0]
 
     def worst_rel(analytic, numeric):
@@ -333,7 +333,7 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
         "std-0.01": 0.01,
         "std-0.10": 0.1,
     }
-    trials_by_space = {}
+    trials_by_space, spaces = {}, {}
     for label, cap in configs.items():
         config = PipelineConfig(
             arch="resnet-tiny",
@@ -351,14 +351,14 @@ def test_criterion_11_std_space_comparison(desk_dense, tmp_path):
         run = RunDir(tmp_path / label, config)
         meta = {"dense_key": dense_key(desk_preset()), "val_accuracy": baseline.accuracy}
         save_checkpoint(run.path / "dense.ckpt", baseline.weights, baseline.arch, meta=meta)
-        trials_by_space[label] = screen_candidates(run)
+        trials_by_space[label], spaces[label] = screen_candidates(run), config.space
     assert all(len(t) == 50 for t in trials_by_space.values())
 
     report = compare_spaces(trials_by_space)
     pair = next(p for p in report.pairs if p.space_a == "std-0.01")
     medians = {}
     for label, trials in trials_by_space.items():
-        row = winner_mcb_by_regime(arch, {0.1: trials}, 5)[0]
+        row = winner_mcb_by_regime(arch, {spaces[label]: trials}, 5)[0]
         medians[label] = (row.winner_mcb_median, row.uniform_mcb)
     detail = (
         f"tight dominates at pooled median: {pair.a_dominates_at_median}, "

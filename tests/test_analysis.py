@@ -5,6 +5,8 @@ import pytest
 
 from prunespace import (
     CostReport,
+    FeasibilityError,
+    SpaceSpec,
     TrialRecord,
     ValidationError,
     accuracy_drop,
@@ -142,7 +144,9 @@ def test_winner_mcb_by_regime():
     half_trials = [
         _trial(i, 0.5 + i, c_flops=half, mcb=0.85 + 0.02 * i, seed=i) for i in range(4)
     ]
-    rows = winner_mcb_by_regime(arch, {1.0: dense_trials, half: half_trials}, k=3)
+    rows = winner_mcb_by_regime(
+        arch, {SpaceSpec(target_cflops=1.0): dense_trials, SpaceSpec(target_cflops=half): half_trials}, k=3
+    )
     assert [r.target_cflops for r in rows] == [1.0, pytest.approx(half)]
     assert rows[0].flops_reduction == 0.0
     assert rows[0].uniform_mcb == 1.0
@@ -150,6 +154,11 @@ def test_winner_mcb_by_regime():
     assert rows[1].uniform_mcb == pytest.approx((6942 / 20796) / (153 / 404), rel=1e-9)
     assert rows[1].winner_mcb_median == pytest.approx(0.87)
     assert rows[1].best_drop == 0.5
+    # the uniform recipe at half the FLOPs prunes half of each unit, beyond a space capped at 0.3
+    with pytest.raises(FeasibilityError):
+        winner_mcb_by_regime(arch, {SpaceSpec(target_cflops=half, ratio_max=0.3): half_trials}, k=3)
+    with pytest.raises(ValidationError):
+        winner_mcb_by_regime(arch, {SpaceSpec(target_cparams=0.5): half_trials}, k=3)
 
 
 def test_compare_spaces_dominance():

@@ -25,7 +25,7 @@ from prunespace import (
     save_checkpoint,
     scratch_schedule,
 )
-from prunespace import cost
+from prunespace import cost, pipeline
 from prunespace.cli import main
 from prunespace.network import weight_layout
 
@@ -314,6 +314,44 @@ def test_explore_cli(tmp_path, capsys, monkeypatch):
     assert (out_dir / "trials.jsonl").exists()
     assert (out_dir / "edf.csv").exists()
     assert main(["explore", "--out-dir", str(out_dir)]) == 3  # neither config nor preset
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"dataset": {"per_class": 3}},
+        {"dataset": {"shape": [3, 8, 8]}},
+        {"dataset": {"num_classes": 12}},
+        {"arch": "not-an-arch"},
+    ],
+    ids=["per_class 3", "shape 3x8x8", "12 classes", "unknown arch"],
+)
+def test_unrunnable_config_claims_no_run_dir(tmp_path, capsys, monkeypatch, edit):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    good = _mini_config_doc()
+    bad = {k: {**good[k], **v} if isinstance(v, dict) else v for k, v in edit.items()}
+    paths = {}
+    for name, doc in (("good", good), ("bad", {**good, **bad})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    assert main(["explore", "--config", str(paths["bad"]), "--out-dir", str(out_dir)]) == 3
+    assert list(out_dir.iterdir()) == []
+    assert main(["explore", "--config", str(paths["good"]), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+
+
+def test_infeasible_space_exits_4_before_dense_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    monkeypatch.setattr(pipeline, "train_dense_baseline", lambda *a: pytest.fail("trained the dense network"))
+    doc = {**_mini_config_doc(), "space": {"target_cflops": 0.02, "ratio_max": 0.5}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(out_dir)]) == 4
+    assert not (out_dir / "dense.ckpt").exists()
     capsys.readouterr()
 
 

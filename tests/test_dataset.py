@@ -8,7 +8,6 @@ from prunespace import (
     ValidationError,
     class_templates,
     dataset_from_json,
-    synth_dataset,
 )
 
 from .oracles import nearest_template_labels
@@ -26,7 +25,7 @@ def test_default_split_sizes():
 
 
 def test_split_scales_with_per_class():
-    train, val = synth_dataset(0, per_class=200)
+    train, val = DatasetSpec(per_class=200).build()
     assert len(train) == 1600
     assert len(val) == 400
 
@@ -71,13 +70,17 @@ def test_moderate_noise_stays_separable():
 
 def test_dataset_validation():
     with pytest.raises(ValidationError):
-        synth_dataset(0, num_classes=1)
+        DatasetSpec(num_classes=1)
     with pytest.raises(ValidationError):
-        synth_dataset(0, per_class=3)
+        DatasetSpec(per_class=3)
     with pytest.raises(ValidationError):
-        synth_dataset(0, shape=(3, 16))
+        DatasetSpec(shape=(3, 16))
     with pytest.raises(ValidationError):
-        synth_dataset(0, noise_sigma=-0.1)
+        DatasetSpec(shape=(3, 0, 16))
+    with pytest.raises(ValidationError):
+        DatasetSpec(noise_sigma=-0.1)
+    with pytest.raises(SchemaError, match="samples per class"):
+        dataset_from_json({"per_class": 3})
 
 
 def test_dataset_spec_json():

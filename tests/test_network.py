@@ -1,4 +1,6 @@
+import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from prunespace import (
     one_shot_prune,
     softmax_cross_entropy,
 )
+from prunespace import network
 
 from .oracles import conv_layer_naive, finite_diff_grads
 
@@ -170,9 +173,7 @@ def test_softmax_cross_entropy_values():
 
 
 def _loss_only(weights, arch, batch):
-    from prunespace import forward as fwd
-
-    logits, _ = fwd(weights, arch, batch)
+    logits, _ = forward(weights, arch, batch.inputs)
     loss, _ = softmax_cross_entropy(logits, batch.labels)
     return loss
 
@@ -279,32 +280,57 @@ def test_gradients_cover_every_tensor():
 
 
 def test_evaluate_chunking_and_errors():
-    arch = builtin_arch("chain3")
-    weights = init_weights(arch, seed=1)
+    """Slice by slice, evaluation equals one whole-split forward bit for bit."""
+    resnet, chain3 = builtin_arch("resnet-tiny"), builtin_arch("chain3")
+    rows = network.EVAL_ROWS
     rng = np.random.default_rng(2)
-    batch = Batch(
-        rng.normal(size=(23, 3, 8, 8)).astype(np.float32),
-        rng.integers(0, 10, size=23),
-    )
-    assert evaluate(weights, arch, batch, chunk=7) == evaluate(weights, arch, batch)
+    for dtype in (np.float32, np.float64):
+        dense = init_weights(resnet, seed=1, dtype=dtype)
+        pruned = one_shot_prune(dense, resnet, (0.5, 0.0, 0.25, 0.5, 0.3, 0.6))
+        nets = ((dense, resnet), (pruned.weights, pruned.arch), (init_weights(chain3, 1, dtype), chain3))
+        for (weights, arch), n in itertools.product(nets, (40, 200, 2 * rows + 3)):
+            x = rng.normal(size=(n, *arch.input_shape)).astype(dtype)
+            batch = Batch(x, rng.integers(0, 10, size=n))
+            whole = forward(weights, arch, x)[0]
+            sliced = np.concatenate([forward(weights, arch, x[s : s + rows])[0] for s in range(0, n, rows)])
+            assert np.array_equal(sliced, whole), (arch.name, dtype, n)
+            assert evaluate(weights, arch, batch) == int((whole.argmax(axis=1) == batch.labels).sum()) / n
     with pytest.raises(ValidationError):
-        evaluate(weights, arch, Batch(batch.inputs[:0], batch.labels[:0]))
+        evaluate(dense, resnet, Batch(np.zeros((0, *resnet.input_shape)), np.zeros(0, dtype=np.int64)))
+
+
+def test_evaluate_holds_one_slice():
+    """A 200-row evaluation peaks near one training step, not at a 200-row forward's cache."""
+    arch = builtin_arch("resnet-tiny")
+    weights = init_weights(arch, seed=0)
+    rng = np.random.default_rng(5)
+    val = Batch(rng.normal(size=(200, *arch.input_shape)).astype(np.float32), rng.integers(0, 10, size=200))
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(weights, arch, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(evaluate, val) <= 2 * peak(loss_and_grads, val.take(np.arange(32)))
 
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_kernel_leaves_the_callers_batch_unchanged(size):
     """The conv epilogue writes in place. For a batch of one, the channel-major
     input is a view of the caller's array, and a pad-0 first conv keeps it as
-    its padded input; evaluation chunks are views of the dataset."""
+    its padded input; evaluation slices are views of the dataset."""
     arch = _conv_chain(2, 4, 3, 1, 0, h=7, w=6, bias=True, affine=True)
     weights = init_weights(arch, seed=3, dtype=np.float64)
     rng = np.random.default_rng(4)
     _draw_vectors(weights, rng)
     batch = Batch(rng.normal(size=(size, 2, 7, 6)), rng.integers(0, 3, size=size))
     before = batch.inputs.copy()
-    forward(weights, arch, batch)
+    forward(weights, arch, batch.inputs)
     loss_and_grads(weights, arch, batch)
-    evaluate(weights, arch, batch, chunk=1)
+    evaluate(weights, arch, batch)
     assert np.array_equal(batch.inputs, before)
 
 

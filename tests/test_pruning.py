@@ -105,8 +105,8 @@ def test_pruned_forward_matches_masked_dense():
     batch = Batch(rng.normal(size=(4, 3, 16, 16)), rng.integers(0, 10, size=4))
     for recipe in [(0.5, 0.0, 0.25, 0.5, 0.3, 0.6), (0.2, 0.2, 0.2, 0.2, 0.2, 0.2)]:
         pruned = one_shot_prune(weights, arch, recipe)
-        sliced, _ = forward(pruned.weights, pruned.arch, batch)
-        masked = masked_dense_logits(weights, arch, pruned, batch)
+        sliced, _ = forward(pruned.weights, pruned.arch, batch.inputs)
+        masked = masked_dense_logits(weights, arch, pruned, batch.inputs)
         np.testing.assert_allclose(sliced, masked, rtol=1e-10, atol=1e-12)
 
 

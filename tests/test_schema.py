@@ -185,10 +185,10 @@ def _schedules(draw, kinds=KINDS, max_epochs=200):
 _datasets = st.builds(
     DatasetSpec,
     seed=st.integers(),
-    num_classes=st.integers(),
-    per_class=st.integers(),
-    shape=st.tuples(st.integers(), st.integers(), st.integers()),
-    noise_sigma=st.floats(allow_nan=False, allow_infinity=False),
+    num_classes=st.integers(min_value=2),
+    per_class=st.integers(min_value=5),
+    shape=st.tuples(st.integers(min_value=1), st.integers(min_value=1), st.integers(min_value=1)),
+    noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
 )
 _recipes = st.builds(
     PruningRecipe,
