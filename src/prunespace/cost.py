@@ -96,11 +96,24 @@ def fractional_uniform_metrics(arch: ArchitectureSpec, ratio: float) -> tuple[fl
     """
     if not (0.0 <= ratio <= 1.0):
         raise ValidationError(f"uniform ratio {ratio} outside [0, 1]")
+    ratios = np.array([ratio])
+    return tuple(float(fractional_uniform_rows(arch, ratios, metric)[0]) for metric in ("flops", "params"))
+
+
+def fractional_uniform_rows(arch: ArchitectureSpec, ratios: np.ndarray, metric: str) -> np.ndarray:
+    """One relaxed relative cost, c_flops ('flops') or c_params ('params'),
+    of `fractional_uniform_metrics` for each ratio of a 1-D array in [0, 1].
+
+    Each row is summed sequentially on its own (cumsum along the row), so
+    every entry equals the scalar call's result bit for bit.
+    """
     t = cost_table(arch)
-    in_ch, out_ch = t.channels(np.maximum(1.0, (1.0 - ratio) * t.unit_c_out))
-    macs = in_ch * out_ch * t.params_coef * t.out_h * t.out_w
-    params = in_ch * out_ch * t.params_coef + out_ch * t.bias + 2 * out_ch * t.affine
-    return float(np.cumsum(macs)[-1]) / t.dense_flops, float(np.cumsum(params)[-1]) / t.dense_params
+    in_ch, out_ch = t.channels(np.maximum(1.0, (1.0 - ratios[:, None]) * t.unit_c_out))
+    if metric == "flops":
+        per_layer, dense = in_ch * out_ch * t.params_coef * t.out_h * t.out_w, t.dense_flops
+    else:
+        per_layer, dense = in_ch * out_ch * t.params_coef + out_ch * t.bias + 2 * out_ch * t.affine, t.dense_params
+    return np.cumsum(per_layer, axis=1)[:, -1] / dense
 
 
 class CostTable:

@@ -40,11 +40,15 @@ class FeasibilityError(PruneSpaceError, RuntimeError):
 
 
 class TrainingDiverged(PruneSpaceError, RuntimeError):
-    """Training produced a non-finite loss; carries the partial accuracy trace."""
+    """Training produced a non-finite loss; carries where (epoch and step,
+    when known) and the partial accuracy trace."""
 
-    def __init__(self, message: str, trace: tuple[float, ...] = ()):
+    def __init__(
+        self, message: str, trace: tuple[float, ...] = (), epoch: int | None = None, step: int | None = None
+    ):
         super().__init__(message)
         self.trace = tuple(trace)
+        self.epoch, self.step = epoch, step
 
 
 class WorkerLost(PruneSpaceError, BrokenProcessPool):

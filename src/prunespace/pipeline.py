@@ -12,9 +12,13 @@ the run: `screen_candidates(run)` and `retrain_top_k(run, trials)`. The run
 holds the config; the trial log, parsed once when the run opens; and the
 dense baseline, derived once, as a `DenseBaseline` (resolved architecture,
 dataset, weights, validation accuracy), and only when some phase has work
-left. A fresh run reads the accuracy off the dense training trace; a run
-whose directory already holds `dense.ckpt` (a resumed run, or one given a
-dense network shared with another run) evaluates the reloaded checkpoint once.
+left. A run evaluates only the accuracies it keeps: training runs without a
+per-epoch trace, and each kept weight set, the trained dense network and
+every trained candidate, is evaluated once. A run whose directory already
+holds `dense.ckpt` (a resumed run, or one given a dense network shared with
+another run) evaluates the dense network not at all: it takes the accuracy
+stored in the checkpoint's `meta.val_accuracy`, the very anchor its logged
+drops were measured against, and refuses one that is not a float in [0, 1].
 The checkpoint carries the `dense_key` it was trained for, a hash of the
 config's arch, dataset, dense_schedule and seed, and the architecture
 document of its weights; a run refuses any other key or document.
@@ -174,7 +178,9 @@ class DenseBaseline:
     """The trained dense network of one run, derived once and read by every phase.
 
     Every candidate is pruned from `weights`, trained on `data`, and its drop
-    measured against `accuracy`, the validation accuracy of `weights` on `data`.
+    measured against `accuracy`, the validation accuracy of `weights` on `data`:
+    evaluated once after dense training, and read back from `dense.ckpt`'s
+    `meta.val_accuracy`, where training stored it, when a run reloads it.
     """
 
     arch: ArchitectureSpec
@@ -198,9 +204,10 @@ def train_dense_baseline(
         data = config.dataset.build()
     # a scratch schedule initializes the weights itself and reads only the shell's dtype
     shell = NetworkWeights.empty(weight_layout(arch), np.float32)
-    result = train(shell, arch, data, config.dense_schedule, derive_seed(config.seed, _TAG_DENSE_TRAIN))
-    # the last trace entry is the validation accuracy of the returned weights
-    return DenseBaseline(arch, data, result.weights, result.trace[-1])
+    result = train(
+        shell, arch, data, config.dense_schedule, derive_seed(config.seed, _TAG_DENSE_TRAIN), per_epoch=False
+    )
+    return DenseBaseline(arch, data, result.weights, evaluate(result.weights, arch, data[1]))
 
 
 def _train_candidate(
@@ -210,7 +217,8 @@ def _train_candidate(
 
     `full` selects the finalist schedule and seed namespace and keeps the
     trained network, its weights and pruned architecture; screening
-    (`full=False`) discards it.
+    (`full=False`) discards it. The trained network is evaluated once; a
+    candidate that diverges is recorded as such, with a warning naming where.
     """
     started = time.perf_counter()
     arch = baseline.arch
@@ -225,14 +233,19 @@ def _train_candidate(
     try:
         result = train(
             pruned.weights, pruned.arch, baseline.data, schedule,
-            derive_seed(derive_seed(config.seed, tag), index),
+            derive_seed(derive_seed(config.seed, tag), index), per_epoch=False,
         )
-        drop = accuracy_drop(baseline.accuracy, result.trace[-1])
-        if full:
-            network = result.weights, pruned.arch
-    except TrainingDiverged:
+    except TrainingDiverged as e:
+        log.warning(
+            "%s candidate %d diverged: non-finite loss at epoch %s, step %s",
+            "full" if full else "screen", index, e.epoch, e.step,
+        )
         drop = math.inf
         diverged = True
+    else:
+        drop = accuracy_drop(baseline.accuracy, evaluate(result.weights, pruned.arch, baseline.data[1]))
+        if full:
+            network = result.weights, pruned.arch
     record = TrialRecord(
         index=index,
         recipe=tuple(float(r) for r in ratios),
@@ -476,10 +489,10 @@ class RunDir:
     names another config, before touching anything else; it then opens the
     trial log and refuses one that is not indices 0, 1, ... of at most `n`
     records. `baseline` is derived on first use, from `dense.ckpt` when the
-    directory holds one, which must carry the run's `dense_key` and
-    architecture document. Whole files are written with `write_atomic`; the
-    trial log (`trials.jsonl`) and the timings sidecar (`timings.txt`) grow by
-    a line as each result comes in.
+    directory holds one, which must carry the run's `dense_key`, its
+    architecture document and its validation accuracy. Whole files are
+    written with `write_atomic`; the trial log (`trials.jsonl`) and the
+    timings sidecar (`timings.txt`) grow by a line as each result comes in.
     """
 
     def __init__(self, path: str | Path, config: PipelineConfig):
@@ -517,7 +530,7 @@ class RunDir:
 
     @functools.cached_property
     def baseline(self) -> DenseBaseline:
-        """The dense baseline: reloaded from dense.ckpt and evaluated, or trained and saved."""
+        """The dense baseline: reloaded from dense.ckpt with its stored accuracy, or trained and saved."""
         config, arch, path, key = self.config, self.arch, self.path / "dense.ckpt", dense_key(self.config)
         data = config.dataset.build()
         if path.exists():
@@ -531,8 +544,15 @@ class RunDir:
                 raise ValidationError(
                     f"{path} holds another architecture document than the config's arch {config.arch!r}"
                 )
+            accuracy = meta.get("val_accuracy")
+            # an integer would anchor the same drops but change winners.json's dense_accuracy bytes
+            if not isinstance(accuracy, float) or not 0.0 <= accuracy <= 1.0:
+                got = repr(accuracy) if "val_accuracy" in meta else "no such field"
+                raise ValidationError(
+                    f"{path}: meta.val_accuracy must be a float in [0, 1] to anchor accuracy drops, got {got}"
+                )
             log.info("reusing dense baseline from %s", path)
-            return DenseBaseline(arch, data, weights, evaluate(weights, arch, data[1]))
+            return DenseBaseline(arch, data, weights, accuracy)
         started = time.perf_counter()
         baseline = train_dense_baseline(config, data)
         self.observe("dense", "-", time.perf_counter() - started)

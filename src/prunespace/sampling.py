@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .arch import ArchitectureSpec, RATIO_MAX_DEFAULT, prunable_units, resolve_plan
-from .cost import cost_table, fractional_uniform_metrics, network_cost
+from .cost import cost_table, fractional_uniform_rows, network_cost
 from .errors import FeasibilityError, ValidationError
 from .schema import spec_from_json, spec_to_json
 from .seeds import derive_seed
@@ -31,6 +31,8 @@ DEFAULT_SIGMA = 0.05
 DEFAULT_MAX_ATTEMPTS = 100_000
 # Attempts drawn and costed together; 16-64 rows run fastest on resnet50-shape.
 ATTEMPT_BLOCK = 32
+# Bisection levels whose 2**levels - 1 midpoints the anchor search costs in one call.
+BISECT_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -189,22 +191,14 @@ def uniform_base_ratio(
     if target - delta > 1.0:
         raise FeasibilityError(f"target {metric} {target} - {delta} exceeds the dense cost 1.0")
 
-    frac = lambda u: fractional_uniform_metrics(arch, u)[idx]
-    lo, hi = 0.0, ratio_max
-    if frac(lo) <= target:
-        root = lo
-    elif frac(hi) >= target:
-        root = hi
+    frac = lambda us: fractional_uniform_rows(arch, np.asarray(us), metric)
+    at_lo, at_hi = frac([0.0, ratio_max])
+    if at_lo <= target:
+        root = 0.0
+    elif at_hi >= target:
+        root = ratio_max
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if frac(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13:
-                break
-        root = 0.5 * (lo + hi)
+        root = _bisect_decreasing(frac, target, 0.0, ratio_max)
 
     achieved = float(rounded([root])[0])
     if abs(achieved - target) <= delta:
@@ -222,6 +216,34 @@ def uniform_base_ratio(
         return UniformBase(float(probes[hits[0]]), True, float(costs[hits[0]]))
     nearest = float(points[np.argmin(np.abs(points - root))]) if points.size else root
     return UniformBase(nearest, False, float(rounded([nearest])[0]))
+
+
+def _bisect_decreasing(costs, target: float, lo: float, hi: float) -> float:
+    """Bisection root of a decreasing map on [lo, hi], for `costs` over an array of points.
+
+    Takes the midpoints and comparisons of one-at-a-time bisection, and its
+    stop (hi - lo <= 1e-13, or 200 steps), so the root is the same float;
+    each call costs the next BISECT_LEVELS levels' midpoints at once.
+    """
+    steps = 0
+    while True:
+        # heap order: node i spans nodes[i], its halves are nodes 2i + 1 and 2i + 2
+        nodes, mids = [(lo, hi)], []
+        for i in range(2**BISECT_LEVELS - 1):
+            a, b = nodes[i]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            nodes += [(a, mid), (mid, b)]
+        above = costs(mids) > target
+        i = 0
+        for _ in range(BISECT_LEVELS):
+            if above[i]:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
+            steps += 1
+            if hi - lo <= 1e-13 or steps == 200:
+                return 0.5 * (lo + hi)
 
 
 def _anchor(arch: ArchitectureSpec, space: SpaceSpec) -> UniformBase:

@@ -83,8 +83,15 @@ def lr_at(schedule: ScheduleSpec, epoch: float) -> float:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Trained weights, the loss of the last step, and the per-epoch trace.
+
+    `trace` holds the validation accuracy after each epoch when `train` was
+    asked for it (`per_epoch=True`), and is empty otherwise; a caller that
+    needs only the final accuracy evaluates `weights` once itself.
+    """
+
     weights: NetworkWeights
-    trace: tuple[float, ...]  # validation accuracy after each epoch
+    trace: tuple[float, ...]
     final_loss: float
 
 
@@ -94,14 +101,19 @@ def train(
     data: tuple[Batch, Batch],
     schedule: ScheduleSpec,
     seed,
+    *,
+    per_epoch: bool = True,
 ) -> TrainResult:
-    """SGD over the training split; validation accuracy appended per epoch.
+    """SGD over the training split; with `per_epoch`, validation accuracy after each epoch.
 
     The momentum is one buffer on the weights' layout, as the gradients are,
     so a step updates every tensor at once.
     Deterministic in (weights, data, schedule, seed). A scratch schedule
     re-initializes from a seed-derived key and ignores the incoming values.
-    Raises TrainingDiverged (with the partial trace) on a non-finite loss.
+    Evaluation reads no RNG state and writes no weight, so `per_epoch=False`,
+    which evaluates nothing and returns an empty trace, trains the same
+    weights. Raises TrainingDiverged, with the epoch, the step and the partial
+    trace, on a non-finite loss.
     """
     train_batch, val_batch = data
     if schedule.kind == "scratch":
@@ -124,12 +136,14 @@ def train(
                 idx = order[start : start + schedule.batch_size]
                 loss, grads = loss_and_grads(weights, arch, train_batch.take(idx))
                 if not math.isfinite(loss):
+                    step = start // schedule.batch_size
                     raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, step {start // schedule.batch_size}",
-                        trace=tuple(trace),
+                        f"non-finite loss at epoch {epoch}, step {step}",
+                        trace=tuple(trace), epoch=epoch, step=step,
                     )
                 v *= mu
                 v += grads.flat + wd * w
                 w -= lr * v
-            trace.append(evaluate(weights, arch, val_batch))
+            if per_epoch:
+                trace.append(evaluate(weights, arch, val_batch))
     return TrainResult(weights, tuple(trace), loss)

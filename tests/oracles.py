@@ -111,6 +111,26 @@ def fractional_uniform_metrics_loop(arch: ArchitectureSpec, ratio: float) -> tup
     return flops / dense_flops, params / dense_params
 
 
+def uniform_root_sequential(arch: ArchitectureSpec, target: float, metric: str, ratio_max: float) -> float:
+    """The anchor's bisection root one midpoint at a time, on the per-layer loop's relaxed cost."""
+    idx = 0 if metric == "flops" else 1
+    frac = lambda u: fractional_uniform_metrics_loop(arch, u)[idx]
+    lo, hi = 0.0, ratio_max
+    if frac(lo) <= target:
+        return lo
+    if frac(hi) >= target:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if frac(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
 def sample_recipe_sequential(arch: ArchitectureSpec, space, seed, base_ratio: float,
                              max_attempts: int, sigma: float):
     """Rejection sampling one attempt at a time: one Gaussian row per attempt,

@@ -171,7 +171,8 @@ def test_train_prune_train_round_trip(tmp_path, capsys, caplog):
     assert code == 0
     doc = json.loads(out)
     assert 0.0 <= doc["val_accuracy"] <= 1.0
-    assert len(doc["trace"]) == 2
+    assert len(doc["trace"]) == 2  # one accuracy per epoch, the last one the checkpoint's
+    assert doc["trace"][-1] == doc["val_accuracy"]
     assert load_checkpoint(dense_ckpt)[2] == {"val_accuracy": doc["val_accuracy"], "dataset": trained_on}
 
     recipe = tmp_path / "r.json"
@@ -481,6 +482,44 @@ def test_malformed_checkpoint_header_exits_3(edit_header, edit_body, text, tmp_p
         "--out-checkpoint", str(tmp_path / "out.ckpt"),
     ]
     _exits_3_naming(capsys, caplog, argv, text)
+
+
+# Each is (an edit of the meta of a run's dense.ckpt, text the refusal must name). A
+# resumed run measures drops against the accuracy stored there, so one that cannot
+# anchor them is refused; an integer is refused too, as it would change the bytes of
+# winners.json's dense_accuracy.
+_MALFORMED_DENSE_ACCURACIES = [
+    ("missing", lambda meta: meta.pop("val_accuracy"), "got no such field"),
+    ("string", lambda meta: meta.update(val_accuracy="0.5"), "got '0.5'"),
+    ("true", lambda meta: meta.update(val_accuracy=True), "got True"),
+    ("NaN", lambda meta: meta.update(val_accuracy=float("nan")), "got nan"),
+    ("1.5", lambda meta: meta.update(val_accuracy=1.5), "got 1.5"),
+    ("integer 1", lambda meta: meta.update(val_accuracy=1), "got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit_meta, text",
+    [c[1:] for c in _MALFORMED_DENSE_ACCURACIES],
+    ids=[c[0] for c in _MALFORMED_DENSE_ACCURACIES],
+)
+def test_dense_checkpoint_without_a_usable_accuracy_exits_3(
+    edit_meta, text, tmp_path, capsys, caplog, monkeypatch
+):
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    doc = _mini_config_doc()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    run = pipeline.RunDir(tmp_path / "run", pipeline_config_from_json(doc))
+    dense = run.path / "dense.ckpt"
+    meta = {"dense_key": pipeline.dense_key(run.config), "val_accuracy": 0.5}
+    save_checkpoint(dense, init_weights(run.arch, seed=0), run.arch, meta=meta)
+    _edit_checkpoint(dense, lambda header: edit_meta(header["meta"]), None)
+    before = {p.name: p.read_bytes() for p in run.path.iterdir()}
+    argv = ["pipeline", "--config", str(config), "--out-dir", str(run.path)]
+    refusal = f"{dense}: meta.val_accuracy must be a float in [0, 1] to anchor accuracy drops, {text}"
+    _exits_3_naming(capsys, caplog, argv, refusal)
+    assert {p.name: p.read_bytes() for p in run.path.iterdir()} == before
 
 
 def _chain3():

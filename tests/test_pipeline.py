@@ -3,6 +3,7 @@ import fnmatch
 import json
 import math
 import os
+import re
 import shutil
 from concurrent.futures.process import BrokenProcessPool
 
@@ -45,7 +46,7 @@ from prunespace import (
     train,
     train_dense_baseline,
 )
-from prunespace import pipeline, runlog
+from prunespace import pipeline, runlog, training
 from prunespace.cli import main as cli_main
 from prunespace.pipeline import _candidate_pool, blas_threads, worker_count
 
@@ -243,7 +244,8 @@ def test_dense_checkpoint_of_an_edited_arch_file_is_refused(tmp_path):
     config = dataclasses.replace(_mini_config(), arch=str(arch_file))
     run = RunDir(tmp_path / "run", config)
     arch = resolve_arch(config.arch)
-    save_checkpoint(run.path / "dense.ckpt", init_weights(arch, 0), arch, meta={"dense_key": dense_key(config)})
+    meta = {"dense_key": dense_key(config), "val_accuracy": 0.5}
+    save_checkpoint(run.path / "dense.ckpt", init_weights(arch, 0), arch, meta=meta)
     assert arch_to_json(RunDir(run.path, config).baseline.arch) == doc
 
     doc["layers"][1].update(k=1, pad=0)
@@ -487,35 +489,62 @@ def test_run_pipeline_artifacts(tmp_path, monkeypatch):
 
 
 def test_dense_baseline_derived_once_per_run(tmp_path, monkeypatch):
-    # a fresh run takes the dense accuracy from the training trace; a rerun
-    # into the finished directory evaluates the reloaded checkpoint once and
-    # samples no population, since every trial is already logged
+    # a run evaluates each weight set it keeps once, and training evaluates
+    # nothing: a fresh run the dense network and every candidate; a rerun
+    # into the finished directory only the finalists it retrains, reading the
+    # dense accuracy from dense.ckpt, and it samples no population, since
+    # every trial is already logged
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
-    calls = {"evaluate": 0, "sample_population": 0}
+    config = _mini_config()
+    dense_arch = resolve_arch(config.arch)
+    calls = {"sample_population": 0, "training.evaluate": 0}
+    evaluated = []  # the architecture of each network the pipeline evaluates
 
-    def counting(name):
-        real = getattr(pipeline, name)
+    def counting(owner, name, key):
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(pipeline, name, counting(name))
-    config = _mini_config()
+    def evaluate_spy(weights, arch, batch):
+        evaluated.append(arch)
+        return evaluate(weights, arch, batch)
+
+    counting(pipeline, "sample_population", "sample_population")
+    counting(training, "evaluate", "training.evaluate")
+    monkeypatch.setattr(pipeline, "evaluate", evaluate_spy)
     out = tmp_path / "run"
 
     first = run_pipeline(config, out)
-    assert calls == {"evaluate": 0, "sample_population": 1}
-    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.txt"}
+    assert calls == {"sample_population": 1, "training.evaluate": 0}
+    assert len(evaluated) == 1 + config.n + config.top_k
+    assert [arch == dense_arch for arch in evaluated] == [True] + [False] * (config.n + config.top_k)
+    before = _artifacts(out)
 
+    del evaluated[:]
     again = run_pipeline(config, out)
-    assert calls == {"evaluate": 1, "sample_population": 1}
+    assert calls == {"sample_population": 1, "training.evaluate": 0}
+    assert len(evaluated) == config.top_k
+    assert dense_arch not in evaluated
     assert again.dense_accuracy == first.dense_accuracy
-    after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.txt"}
-    assert after == before
+    assert _artifacts(out) == before
+
+
+def test_resumed_run_anchors_drops_on_the_stored_dense_accuracy(tmp_path, monkeypatch, finished_run):
+    # a resumed run takes the dense accuracy that dense.ckpt stores, the one
+    # its screening drops were measured against, instead of re-evaluating
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    stored = load_checkpoint(out / "dense.ckpt")[2]["val_accuracy"]
+    monkeypatch.setattr(pipeline, "evaluate", lambda weights, arch, batch: 0.25)
+    result = run_pipeline(_mini_config(), out)
+    winners = json.loads((out / "winners.json").read_text())
+    assert winners["dense_accuracy"] == result.dense_accuracy == stored != 0.25
+    assert [f["accuracy_drop"] for f in winners["finalists"]] == [accuracy_drop(stored, 0.25)] * 2
 
 
 def _artifacts(out):
@@ -746,12 +775,32 @@ def _diverging_config():
     )
 
 
-def test_screen_divergence_is_flagged(tmp_path, monkeypatch):
+def test_screen_divergence_is_flagged(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
     config = _diverging_config()
-    records = screen_candidates(RunDir(tmp_path, config))
+    with caplog.at_level("WARNING", logger="prunespace"):
+        records = screen_candidates(RunDir(tmp_path, config))
     assert all(r.diverged for r in records)
     assert all(math.isinf(r.accuracy_drop) for r in records)
+    # one warning per candidate says where it diverged
+    warned = [r.getMessage() for r in caplog.records if "diverged" in r.getMessage()]
+    assert len(warned) == config.n
+    for index, message in enumerate(warned):
+        assert re.fullmatch(rf"screen candidate {index} diverged: non-finite loss at epoch \d+, step \d+", message)
+
+
+def test_finalist_divergence_is_flagged(tmp_path, monkeypatch, caplog):
+    # screening converges, the full schedule diverges: the finalist is
+    # recorded as diverged, with no checkpoint, and a warning says where
+    monkeypatch.setenv("PRUNESPACE_WORKERS", "1")
+    config = dataclasses.replace(_diverging_config(), short_schedule=finetune_schedule(1))
+    with caplog.at_level("WARNING", logger="prunespace"):
+        result = run_pipeline(config, tmp_path)
+    assert not any(t.diverged for t in result.trials)
+    assert result.winner.diverged and not list(tmp_path.glob("finalist_*.ckpt"))
+    warned = [r.getMessage() for r in caplog.records if "diverged" in r.getMessage()]
+    pattern = rf"full candidate {result.winner.index} diverged: non-finite loss at epoch \d+, step \d+"
+    assert len(warned) == 1 and re.fullmatch(pattern, warned[0])
 
 
 def test_all_diverged_screening_raises(tmp_path, monkeypatch, caplog):

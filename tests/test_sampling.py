@@ -8,6 +8,7 @@ import pytest
 from prunespace import (
     FeasibilityError,
     PruningRecipe,
+    RATIO_MAX_DEFAULT,
     SchemaError,
     SpaceSpec,
     ValidationError,
@@ -28,7 +29,7 @@ from prunespace import (
 from prunespace.cli import main
 from prunespace.sampling import ATTEMPT_BLOCK, DEFAULT_SIGMA
 
-from .oracles import sample_recipe_sequential
+from .oracles import sample_recipe_sequential, uniform_root_sequential
 
 CHAIN3_HALF_CFLOPS = 6942 / 20796
 
@@ -161,6 +162,20 @@ def test_uniform_base_first_in_band_plateau_probe(name, metric, target, ratio, a
     # plateau-edge probe in band, and every population depends on which
     base = uniform_base_ratio(builtin_arch(name), target, 0.01, metric)
     assert (base.ratio, base.in_band, base.achieved) == (ratio, True, achieved)
+
+
+@pytest.mark.parametrize("name", ["resnet50-shape", "resnet-tiny", "chain3"])
+def test_uniform_base_root_matches_sequential_bisection(name):
+    # the anchor costs several bisection levels per call, and must land on
+    # the very float a one-midpoint-at-a-time bisection does; a band of
+    # half-width 1 takes the root itself as the anchor
+    arch = builtin_arch(name)
+    for metric in ("flops", "params"):
+        for target in np.linspace(0.05, 1.0, 20):
+            for ratio_max in (RATIO_MAX_DEFAULT, 0.5):
+                want = uniform_root_sequential(arch, float(target), metric, ratio_max)
+                got = uniform_base_ratio(arch, float(target), 1.0, metric, ratio_max).ratio
+                assert got == want, (metric, target, ratio_max)
 
 
 def test_uniform_base_no_prunable_units():

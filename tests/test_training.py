@@ -17,6 +17,7 @@ from prunespace import (
     scratch_schedule,
     train,
 )
+from prunespace import training
 
 
 def _chain3_data(dtype=np.float32):
@@ -141,4 +142,24 @@ def test_divergence_raises_with_partial_trace():
     with pytest.raises(TrainingDiverged) as err:
         train(init_weights(arch, seed=0), arch, data, sched, seed=0)
     assert isinstance(err.value.trace, tuple)
-    assert len(err.value.trace) < 3
+    assert len(err.value.trace) == err.value.epoch < 3
+    assert str(err.value) == f"non-finite loss at epoch {err.value.epoch}, step {err.value.step}"
+    # without the per-epoch trace it diverges at the same step, with nothing evaluated
+    with pytest.raises(TrainingDiverged) as quiet:
+        train(init_weights(arch, seed=0), arch, data, sched, seed=0, per_epoch=False)
+    assert (quiet.value.epoch, quiet.value.step, quiet.value.trace) == (err.value.epoch, err.value.step, ())
+
+
+def test_train_without_per_epoch_trace_evaluates_nothing(monkeypatch):
+    # evaluation reads no RNG state and writes no weight, so skipping it
+    # trains the same weights to the same loss
+    arch = builtin_arch("chain3")
+    data = _chain3_data()
+    weights = init_weights(arch, seed=1)
+    traced = train(weights, arch, data, finetune_schedule(3), seed=4)
+    assert len(traced.trace) == 3
+    monkeypatch.setattr(training, "evaluate", lambda *args: pytest.fail("train evaluated"))
+    quiet = train(weights, arch, data, finetune_schedule(3), seed=4, per_epoch=False)
+    assert quiet.trace == ()
+    assert quiet.final_loss == traced.final_loss
+    assert quiet.weights.flat.tobytes() == traced.weights.flat.tobytes()
